@@ -2,7 +2,7 @@
 
 Text format (UTF-8, one statement per line):
 
-    qubits N            header, required first statement
+    qubits N            header, required first statement; 1 <= N <= MAX_QUBITS
     h q | x q | y q | z q | s q | t q
     u3 theta phi lambda q      angles in decimal radians
     cx c t | ch c t            control first
@@ -40,6 +40,9 @@ GATE_ARITY = {
     "cx": 2, "ch": 2, "swap": 2,
 }
 PARAM_COUNT = {"u3": 3}
+# Largest register the parser accepts: a statevector takes 16 * 2^n bytes,
+# 16 MiB at n = 20 (a density matrix would take 16 * 4^n).
+MAX_QUBITS = 20
 
 _S = np.diag([1, 1j]).astype(complex)
 _T = np.diag([1, cmath.exp(1j * math.pi / 4)]).astype(complex)
@@ -131,40 +134,25 @@ class Circuit:
         return Circuit(self.num_qubits, self.gates + tuple(more))
 
 
-def _embed_matrix(u: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Embed a 2^k operator at the given qubits (qubit 0 = index MSB)."""
-    k = len(targets)
-    for t in targets:
-        if not 0 <= t < num_qubits:
-            raise ValueError(f"target {t} out of range for {num_qubits} qubits")
-    full = np.zeros((2 ** num_qubits, 2 ** num_qubits), dtype=complex)
-    shifts = [num_qubits - 1 - t for t in targets]
-    for col in range(2 ** num_qubits):
-        j = 0
-        for sh in shifts:
-            j = (j << 1) | ((col >> sh) & 1)
-        base = col
-        for sh in shifts:
-            base &= ~(1 << sh)
-        for i in range(2 ** k):
-            row = base
-            for t_idx, sh in enumerate(shifts):
-                if (i >> (k - 1 - t_idx)) & 1:
-                    row |= 1 << sh
-            full[row, col] += u[i, j]
-    return full
+def _apply_op(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply a 2^k operator to `axes` of a (2,)*m tensor; axes[0] is the op's MSB."""
+    k = len(axes)
+    out = np.tensordot(op.reshape((2,) * (2 * k)), tensor,
+                       axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
 
 def gate_matrix(g: Gate, num_qubits: int) -> np.ndarray:
     """Full 2^n unitary embedding g at its targets."""
-    return _embed_matrix(g.local_matrix(), g.targets, num_qubits)
+    return circuit_unitary(Circuit(num_qubits, (g,)))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    u = np.eye(2 ** c.num_qubits, dtype=complex)
+    dim = 2 ** c.num_qubits
+    u = np.eye(dim, dtype=complex).reshape((2,) * (2 * c.num_qubits))
     for g in c.gates:
-        u = gate_matrix(g, c.num_qubits) @ u
-    return u
+        u = _apply_op(u, g.local_matrix(), g.targets)
+    return u.reshape(dim, dim)
 
 
 def run_statevector(c: Circuit, input_state: StateVector) -> StateVector:
@@ -174,10 +162,10 @@ def run_statevector(c: Circuit, input_state: StateVector) -> StateVector:
             f"dimension mismatch: circuit has {c.num_qubits} qubits, "
             f"state has {input_state.num_qubits}"
         )
-    psi = input_state.amplitudes.copy()
+    psi = input_state.amplitudes.reshape((2,) * c.num_qubits).copy()
     for g in c.gates:
-        psi = gate_matrix(g, c.num_qubits) @ psi
-    return StateVector(c.num_qubits, psi)
+        psi = _apply_op(psi, g.local_matrix(), g.targets)
+    return StateVector(c.num_qubits, psi.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -245,15 +233,20 @@ def run_density(
                 raise ValueError(f"channel qubit {q} out of range")
         by_position.setdefault(position, []).append((chan, qubits))
 
-    rho = input_state.matrix.copy()
+    n = c.num_qubits
+
+    def conjugate(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+        # op rho op^dagger: op on the row legs, conj(op) on the column legs.
+        rho = _apply_op(rho, op, qubits)
+        return _apply_op(rho, op.conj(), [n + q for q in qubits])
+
+    rho = input_state.matrix.reshape((2,) * (2 * n)).copy()
     for i in range(len(c.gates) + 1):
         for chan, qubits in by_position.get(i, ()):
-            ks = [_embed_matrix(k, qubits, c.num_qubits) for k in chan.kraus_ops]
-            rho = sum(k @ rho @ k.conj().T for k in ks)
+            rho = sum(conjugate(rho, k, qubits) for k in chan.kraus_ops)
         if i < len(c.gates):
-            u = gate_matrix(c.gates[i], c.num_qubits)
-            rho = u @ rho @ u.conj().T
-    return DensityMatrix(c.num_qubits, rho)
+            rho = conjugate(rho, c.gates[i].local_matrix(), c.gates[i].targets)
+    return DensityMatrix(n, rho.reshape(2 ** n, 2 ** n))
 
 
 class CircuitParseError(ValueError):
@@ -322,6 +315,10 @@ def parse_circuit(text: str) -> Circuit:
         ) from None
     if num_qubits < 1:
         raise CircuitParseError("qubit count must be at least 1", lineno, toks[1][1])
+    if num_qubits > MAX_QUBITS:
+        raise CircuitParseError(
+            f"qubit count {num_qubits} exceeds the limit of {MAX_QUBITS}", lineno, toks[1][1]
+        )
 
     gates: list[Gate] = []
     for lineno, toks in lines[1:]:

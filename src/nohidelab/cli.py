@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import nohiding, tomo, zx
 from .circuits import CircuitParseError, parse_circuit, run_statevector
 from .jsonio import csv_text, json_text, write_text_atomic
@@ -18,6 +20,8 @@ from .qmath import StateVector, partial_trace
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
+# Shot counts reach numpy's sampler as int64.
+SHOTS_MAX = int(np.iinfo(np.int64).max)
 
 
 class ConfigError(ValueError):
@@ -33,9 +37,19 @@ def _parse_shots(text: str) -> int | None:
         raise argparse.ArgumentTypeError(
             f"shots must be a positive integer or 'exact', got {text!r}"
         ) from None
-    if shots < 1:
-        raise argparse.ArgumentTypeError("shots must be >= 1")
+    if not 1 <= shots <= SHOTS_MAX:
+        raise argparse.ArgumentTypeError(f"shots must be between 1 and {SHOTS_MAX}")
     return shots
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("json",)):
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--seed", type=_parse_seed, default=0, help="base RNG seed")
         p.add_argument("--out", type=Path, default=None, help="output file path")
         p.add_argument("--format", choices=formats, default=formats[0])
 
@@ -72,6 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--format", choices=("json",), default="json")
     return parser
+
+
+def _check_out_path(out: Path) -> None:
+    """Reject an --out path the atomic write would fail on, before any work."""
+    if out.is_dir():
+        raise ConfigError(f"--out {str(out)!r} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -202,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.out is not None:
+            _check_out_path(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,7 @@ round-trip exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -13,8 +14,11 @@ from typing import Mapping, Sequence
 
 
 def format_float(x: float) -> str:
+    """17-significant-digit text of a finite float; NaN and inf have no JSON form."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
     text = format(float(x), ".17g")
-    if "." not in text and "e" not in text and "n" not in text and "i" not in text:
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 

@@ -19,8 +19,6 @@ EIG_CLAMP = 1e-9
 # Positive eigenvalues below this are solver noise on a rank-deficient
 # input; sqrt would amplify them to ~1e-8, so they are zeroed instead.
 SQRT_FLOOR = 1e-13
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,7 +53,7 @@ def is_psd(m: np.ndarray, tol: float = ATOL) -> bool:
 
 
 def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix (LAPACK, via np.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
     descending order and eigenvectors as the columns of a unitary matrix,
@@ -74,52 +72,8 @@ def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np
         raise ValueError(
             f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| = {worst:.3e}"
         )
-
-    a = (m + m.conj().T) / 2.0
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                sign = 1.0 if tau >= 0 else -1.0
-                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Right multiply by J, left multiply by J^dagger, where the
-                # (p, q) block of J is [[c, s*phase], [-s*conj(phase), c]].
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vc_p = v[:, p].copy()
-                vc_q = v[:, q].copy()
-                v[:, p] = c * vc_p - s * np.conj(phase) * vc_q
-                v[:, q] = s * phase * vc_p + c * vc_q
-    else:
-        raise ArithmeticError("Jacobi eigensolver did not converge in 100 sweeps")
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return w[::-1], v[:, ::-1]
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from nohidelab import qmath
 from nohidelab.circuits import (
+    MAX_QUBITS,
     Channel,
     Circuit,
     CircuitParseError,
@@ -82,6 +83,12 @@ class TestParser:
             parse_circuit("qubits zero")
         with pytest.raises(CircuitParseError, match="at least 1"):
             parse_circuit("qubits 0")
+
+    def test_qubit_count_limit(self):
+        assert parse_circuit(f"qubits {MAX_QUBITS}").num_qubits == MAX_QUBITS
+        with pytest.raises(CircuitParseError, match="exceeds the limit") as err:
+            parse_circuit(f"qubits  {MAX_QUBITS + 1}\nh 0")
+        assert (err.value.line, err.value.col) == (1, 9)
 
     def test_golden_grammar_file(self):
         cases = json.loads(GOLDEN.read_text())

@@ -208,3 +208,25 @@ class TestArgHandling:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["perfect", "--seed", "-1", "--shots", "8"], "seed must be a non-negative"),
+    (["imperfect", "--seed", "-1", "--shots", "8"], "seed must be a non-negative"),
+    (["perfect", "--shots", "10000000000000000000000"], "shots must be between"),
+    (["imperfect", "--shots", "10000000000000000000000"], "shots must be between"),
+    (["perfect", "--out", "{tmp}/missing/x.json"], "missing' does not exist"),
+    (["zx", "--out", "{tmp}/outdir"], "outdir' is a directory"),
+    (["simulate", "{tmp}/q21.circ"], "col 8: qubit count 21 exceeds the limit of 20"),
+], ids=["perfect-seed", "imperfect-seed", "perfect-shots", "imperfect-shots",
+        "out-dir-missing", "out-is-dir", "qubits-21"])
+def test_config_errors_exit_2_without_output(argv, message, tmp_path, capsys):
+    (tmp_path / "q21.circ").write_text("qubits 21\nh 0\n")
+    (tmp_path / "outdir").mkdir()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out.json")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert message in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["outdir", "q21.circ"]

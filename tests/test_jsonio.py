@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from nohidelab.jsonio import csv_text, format_float, json_text, write_text_atomic
 
 
@@ -10,6 +12,13 @@ class TestFormatFloat:
                   -0.0, 0.5, 123456789.123456789, math.sin(math.pi / 10) ** 2]
         for v in values:
             assert float(format_float(v)) == v
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            json_text({"a": bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            csv_text(["a"], [[bad]])
 
     def test_integral_floats_keep_a_point(self):
         assert format_float(1.0) == "1.0"

@@ -1,0 +1,93 @@
+"""Property tests: the numpy kernels agree with the kernels they replaced."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from nohidelab.circuits import (
+    GATE_ARITY,
+    Circuit,
+    Gate,
+    depolarizing_channel,
+    gate_matrix,
+    run_density,
+)
+from nohidelab.qmath import hermitian_eig
+
+from conftest import random_density
+from oracles import embed_matrix, jacobi_eig, run_density_dense
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _complex_matrices(dim: int):
+    return st.tuples(arrays(float, (dim, dim), elements=_unit),
+                     arrays(float, (dim, dim), elements=_unit)).map(lambda ab: ab[0] + 1j * ab[1])
+
+
+@st.composite
+def hermitian_matrices(draw):
+    m = draw(_complex_matrices(draw(st.integers(1, 16))))
+    return (m + m.conj().T) / 2
+
+
+@st.composite
+def embedded_operators(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(3, n)))
+    targets = tuple(draw(st.permutations(range(n)))[:k])
+    # Q of a QR factorization is unitary for any input, singular ones too.
+    u, _ = np.linalg.qr(draw(_complex_matrices(2 ** k)))
+    return n, targets, u
+
+
+@st.composite
+def noisy_circuits(draw):
+    n = draw(st.integers(1, 3))
+    kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= n]
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        targets = tuple(draw(st.permutations(range(n)))[:GATE_ARITY[kind]])
+        params = draw(st.tuples(*[st.floats(-7.0, 7.0)] * 3)) if kind == "u3" else ()
+        gates.append(Gate(kind, targets, params))
+    channels = [
+        (depolarizing_channel(draw(st.floats(0.0, 1.0))),
+         [draw(st.integers(0, n - 1))],
+         draw(st.integers(0, len(gates))))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return Circuit(n, tuple(gates)), channels, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY
+@given(hermitian_matrices())
+def test_eigenvalues_match_jacobi_oracle(m):
+    w, v = hermitian_eig(m)
+    # For off-diagonal entries near 1e-200 the oracle's tau * tau overflows;
+    # the rotation then tends to the identity, which is the right limit.
+    with np.errstate(over="ignore"):
+        w_ref, _ = jacobi_eig(m)
+    assert np.abs(w - w_ref).max() < 1e-12
+    assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
+    assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-12
+
+
+@PROPERTY
+@given(embedded_operators())
+def test_gate_matrix_matches_oracle_embed(case):
+    n, targets, u = case
+    got = gate_matrix(Gate("unitary", targets, matrix=u), n)
+    assert np.abs(got - embed_matrix(u, targets, n)).max() < 1e-12
+
+
+@PROPERTY
+@given(noisy_circuits())
+def test_run_density_matches_dense_oracle(case):
+    circuit, channels, seed = case
+    rho = random_density(np.random.default_rng(seed), circuit.num_qubits)
+    got = run_density(circuit, channels, rho).matrix
+    assert np.abs(got - run_density_dense(circuit, channels, rho.matrix)).max() < 1e-12
