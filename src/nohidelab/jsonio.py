@@ -74,12 +74,19 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+
+    The file gets the mode a plain open(path, "w") would give it under the
+    current umask, not the 0600 of mkstemp.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        umask = os.umask(0o022)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,91 +1,21 @@
 """Reference kernels that the numpy kernels replaced, kept as test oracles.
 
-`jacobi_eig` is the former cyclic-Jacobi `qmath.hermitian_eig`, and
-`embed_matrix` the former bit-twiddling dense gate embedding of `circuits`,
-both verbatim. `run_density_dense` is the former dense density-matrix loop
-built on `embed_matrix`. The property tests in test_oracles.py compare the
-library against them. They are kept for one change only: delete this module
-and test_oracles.py in the next change.
+`embed_matrix` is the former bit-twiddling dense gate embedding of
+`circuits`, verbatim, and `run_density_dense` the former dense density-matrix
+loop built on it; they stay as the references for `circuits._apply_op`.
+`tensordot_evaluate` and `_node_tensor` are the former per-leg tensordot
+contraction of `zx.evaluate`, verbatim but for the function name. The
+property tests in test_oracles.py compare the library against them.
 """
 from __future__ import annotations
 
-import math
+import cmath
 from typing import Sequence
 
 import numpy as np
 
-from nohidelab.qmath import EIG_CLAMP
-
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-
-def jacobi_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
-    descending order and eigenvectors as the columns of a unitary matrix,
-    so that m = V diag(w) V^dagger.
-
-    Raises ValueError for input that is not Hermitian within `tol`, naming
-    the worst asymmetric entry.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = np.abs(m - m.conj().T)
-    worst = float(asym.max()) if m.size else 0.0
-    if worst > tol:
-        i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-        raise ValueError(
-            f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| = {worst:.3e}"
-        )
-
-    a = (m + m.conj().T) / 2.0
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                sign = 1.0 if tau >= 0 else -1.0
-                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Right multiply by J, left multiply by J^dagger, where the
-                # (p, q) block of J is [[c, s*phase], [-s*conj(phase), c]].
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vc_p = v[:, p].copy()
-                vc_q = v[:, q].copy()
-                v[:, p] = c * vc_p - s * np.conj(phase) * vc_q
-                v[:, q] = s * phase * vc_p + c * vc_q
-    else:
-        raise ArithmeticError("Jacobi eigensolver did not converge in 100 sweeps")
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+from nohidelab.qmath import HADAMARD
+from nohidelab.zx import BOUNDARY_KINDS, MAX_EVAL_EDGES, ZXDiagram, _canonical_order
 
 
 def embed_matrix(u: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
@@ -125,3 +55,83 @@ def run_density_dense(circuit, channels, rho: np.ndarray) -> np.ndarray:
             u = embed_matrix(g.local_matrix(), g.targets, n)
             rho = u @ rho @ u.conj().T
     return rho
+
+
+def _node_tensor(kind: str, phase: complex, legs: int) -> np.ndarray:
+    if kind == "H":
+        return HADAMARD.copy()
+    amp = cmath.exp(1j * phase)
+    if legs == 0:
+        return np.array(1.0 + amp, dtype=complex)
+    t = np.zeros((2,) * legs, dtype=complex)
+    t[(0,) * legs] = 1.0
+    t[(1,) * legs] = amp
+    if kind == "X":
+        for ax in range(legs):
+            t = np.moveaxis(np.tensordot(t, HADAMARD, axes=([ax], [0])), -1, ax)
+    return t
+
+
+def tensordot_evaluate(d: ZXDiagram) -> np.ndarray:
+    """Contract the diagram to a 2^|outputs| x 2^|inputs| matrix."""
+    if len(d.edges) > MAX_EVAL_EDGES:
+        raise ValueError(
+            f"diagram too large for brute force ({len(d.edges)} edges > {MAX_EVAL_EDGES})"
+        )
+    order = _canonical_order(d)
+    rank = {nid: i for i, nid in enumerate(order)}
+    # edge instances in canonical order
+    instances = sorted(
+        ((min(rank[a], rank[b]), max(rank[a], rank[b])), idx)
+        for idx, (a, b) in enumerate(d.edges)
+    )
+    incident: dict[int, list[int]] = {nid: [] for nid in d.nodes}
+    inst_ends: list[tuple[int, int]] = []
+    for inst, (_, orig_idx) in enumerate(instances):
+        a, b = d.edges[orig_idx]
+        inst_ends.append((a, b))
+        incident[a].append(inst)
+        incident[b].append(inst)
+
+    boundary = set(d.inputs) | set(d.outputs)
+    current = np.array(1.0 + 0j)
+    open_axes: dict[int, int] = {}
+
+    for nid in order:
+        node = d.nodes[nid]
+        if node.kind in BOUNDARY_KINDS:
+            continue
+        legs = incident[nid]
+        t = _node_tensor(node.kind, node.phase, len(legs))
+        shared = [e for e in legs if e in open_axes]
+        cur_axes = [open_axes[e] for e in shared]
+        t_axes = [legs.index(e) for e in shared]
+        current = np.tensordot(current, t, axes=(cur_axes, t_axes))
+        remaining = [e for e in sorted(open_axes, key=open_axes.get) if e not in shared]
+        open_axes = {e: i for i, e in enumerate(remaining)}
+        offset = len(remaining)
+        pos = 0
+        for e in legs:
+            if e not in shared:
+                open_axes[e] = offset + pos
+                pos += 1
+
+    axis_for_boundary: dict[int, int] = {}
+    for inst, (a, b) in enumerate(inst_ends):
+        if a in boundary and b in boundary:
+            # bare wire between two boundaries: identity tensor
+            n_axes = current.ndim
+            current = np.tensordot(current, np.eye(2, dtype=complex), axes=0)
+            first, second = (a, b) if rank[a] <= rank[b] else (b, a)
+            axis_for_boundary[first] = n_axes
+            axis_for_boundary[second] = n_axes + 1
+        elif a in boundary:
+            axis_for_boundary[a] = open_axes[inst]
+        elif b in boundary:
+            axis_for_boundary[b] = open_axes[inst]
+
+    perm = [axis_for_boundary[o] for o in d.outputs] + [axis_for_boundary[i] for i in d.inputs]
+    if sorted(perm) != list(range(current.ndim)):
+        raise AssertionError("contraction left unexpected open axes")
+    current = np.transpose(current, perm)
+    return current.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nohidelab import qmath
 from nohidelab.circuits import (
@@ -111,6 +113,23 @@ class TestParser:
         c = Circuit(1, (Gate("unitary", (0,), matrix=np.eye(2)),))
         with pytest.raises(ValueError, match="no text form"):
             render_circuit(c)
+
+
+_PARSER_TOKENS = ["qubits", "h", "cx", "swap", "u3", "ccx", "unitary", "0", "1", "2",
+                  "-1", "20", "21", "1.5", "nan", "1e400", "#", "\n", "\r", "\t",
+                  "\x0b", "\u2028", " "]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_PARSER_TOKENS)).map(" ".join)))
+def test_parser_total_on_arbitrary_text(text):
+    try:
+        result = parse_circuit(text)
+    except CircuitParseError as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        assert exc.col >= 1
+    else:
+        assert isinstance(result, Circuit)
 
 
 class TestGateMatrix:

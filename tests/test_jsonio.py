@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -66,3 +68,16 @@ def test_atomic_write_replaces_existing(tmp_path):
     target.write_text("old")
     write_text_atomic(target, "new")
     assert target.read_text() == "new"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_atomic_write_mode_follows_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_text_atomic(tmp_path / "out.json", "payload\n")
+        with open(tmp_path / "plain.json", "w") as handle:
+            handle.write("payload\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "out.json").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)

@@ -1,4 +1,4 @@
-"""Property tests: the numpy kernels agree with the kernels they replaced."""
+"""Property tests of the numpy kernels, against the kernels they replaced where kept."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +13,17 @@ from nohidelab.circuits import (
     run_density,
 )
 from nohidelab.qmath import hermitian_eig
+from nohidelab.zx import (
+    TRANSLATABLE_GATES,
+    ZXDiagram,
+    ZXNode,
+    circuit_to_zx,
+    evaluate,
+    plug_state,
+)
 
 from conftest import random_density
-from oracles import embed_matrix, jacobi_eig, run_density_dense
+from oracles import embed_matrix, run_density_dense, tensordot_evaluate
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -62,15 +70,34 @@ def noisy_circuits(draw):
     return Circuit(n, tuple(gates)), channels, draw(st.integers(0, 2 ** 32 - 1))
 
 
+_phases = st.builds(complex, st.floats(-7.0, 7.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def plugged_diagrams(draw):
+    n = draw(st.integers(1, 3))
+    kinds = [kind for kind in TRANSLATABLE_GATES if kind != "cx" or n >= 2]
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        targets = tuple(draw(st.permutations(range(n)))[:2 if kind == "cx" else 1])
+        gates.append(Gate(kind, targets))
+    d = circuit_to_zx(Circuit(n, tuple(gates)))
+    for _ in range(draw(st.integers(0, n))):
+        position = draw(st.integers(0, len(d.inputs) - 1))
+        d = plug_state(d, position, draw(st.sampled_from(["X", "Z"])), draw(_phases))
+    if draw(st.booleans()):
+        # a spider with no legs: a scalar factor
+        nodes = {**d.nodes, max(d.nodes) + 1: ZXNode(draw(st.sampled_from(["X", "Z"])),
+                                                      draw(_phases))}
+        d = ZXDiagram(nodes, d.edges, d.inputs, d.outputs)
+    return d
+
+
 @PROPERTY
 @given(hermitian_matrices())
 def test_eigenvalues_match_jacobi_oracle(m):
     w, v = hermitian_eig(m)
-    # For off-diagonal entries near 1e-200 the oracle's tau * tau overflows;
-    # the rotation then tends to the identity, which is the right limit.
-    with np.errstate(over="ignore"):
-        w_ref, _ = jacobi_eig(m)
-    assert np.abs(w - w_ref).max() < 1e-12
     assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
     assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-12
     assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-12
@@ -91,3 +118,12 @@ def test_run_density_matches_dense_oracle(case):
     rho = random_density(np.random.default_rng(seed), circuit.num_qubits)
     got = run_density(circuit, channels, rho).matrix
     assert np.abs(got - run_density_dense(circuit, channels, rho.matrix)).max() < 1e-12
+
+
+@PROPERTY
+@given(plugged_diagrams())
+def test_evaluate_matches_tensordot_oracle(d):
+    got = evaluate(d)
+    want = tensordot_evaluate(d)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12

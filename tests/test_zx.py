@@ -8,6 +8,7 @@ from nohidelab import qmath, zx
 from nohidelab.circuits import Circuit, Gate, circuit_unitary
 from nohidelab.qmath import proportionality
 from nohidelab.zx import (
+    RewriteStep,
     RuleApplicationError,
     ZXDiagram,
     ZXNode,
@@ -111,6 +112,16 @@ class TestEvaluate:
         c = Circuit(2, tuple(Gate("h", (i % 2,)) for i in range(28)))
         with pytest.raises(ValueError, match="too large for brute force"):
             evaluate(circuit_to_zx(c))
+
+    def test_too_many_open_legs_rejected_before_contracting(self, monkeypatch):
+        # 13 bare wires: 13 edges pass the edge gate, but the 2^13 x 2^13
+        # result would take 1 GiB.
+        def contraction_started(_):
+            raise AssertionError("contraction started")
+
+        monkeypatch.setattr(zx, "_canonical_order", contraction_started)
+        with pytest.raises(ValueError, match="too large for brute force"):
+            evaluate(circuit_to_zx(Circuit(13)))
 
     def test_permutations_do_not_change_bits(self, rng):
         for _ in range(20):
@@ -242,6 +253,19 @@ class TestApplyRule:
             apply_rule(d, "S2", (z,))
         with pytest.raises(RuleApplicationError, match="pattern mismatch"):
             apply_rule(d, "HH", (z, x))
+
+    def test_replayed_missing_node_is_a_pattern_mismatch(self):
+        d = circuit_to_zx(Circuit(2, (Gate("cx", (0, 1)),)))
+        z = next(n for n, nd in d.nodes.items() if nd.kind == "Z")
+        x = next(n for n, nd in d.nodes.items() if nd.kind == "X")
+        locations = [
+            ("HH", (98, 99)), ("S2", (99,)), ("S1", (z, 99)), ("C", (99,)),
+            ("B2", (z, 99, x, 98)), ("S1", ("unfuse", 99, (), (0.0, 0.0))),
+            ("S1", ("unfuse", z, (99,), (0.0, 0.0))),
+        ]
+        for rule, location in locations:
+            with pytest.raises(RuleApplicationError, match="pattern mismatch"):
+                replay_trace(d, [RewriteStep(rule, location, 1.0)])
 
 
 def planted_b2_diagram(rng) -> ZXDiagram:
