@@ -9,8 +9,8 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Mapping, Sequence
 
 
 def format_float(x: float) -> str:

@@ -73,6 +73,8 @@ class ZXDiagram:
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
     _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    # evaluate's read-only result, computed at most once: the diagram is frozen.
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
@@ -257,27 +259,33 @@ def plug_state(d: ZXDiagram, input_position: int, kind: str = "X",
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _rank(keys: dict) -> dict[int, int]:
+    index = {key: r for r, key in enumerate(sorted(set(keys.values())))}
+    return {nid: index[key] for nid, key in keys.items()}
+
+
 def _canonical_order(d: ZXDiagram) -> list[int]:
     # Refined labels make the order a function of the graph alone (not of
     # node ids), so relabeled diagrams contract identically bit for bit.
-    labels = {}
+    # Colour refinement on integer ranks: each round ranks (own label,
+    # sorted neighbour labels) until the number of classes stops growing.
+    seeds = {}
     for nid, node in d.nodes.items():
         if nid in d.inputs:
-            labels[nid] = f"in{d.inputs.index(nid)}"
+            seeds[nid] = f"in{d.inputs.index(nid)}"
         elif nid in d.outputs:
-            labels[nid] = f"out{d.outputs.index(nid)}"
+            seeds[nid] = f"out{d.outputs.index(nid)}"
         else:
             phase = node.phase
-            labels[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
+            seeds[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
+    labels = _rank(seeds)
     for _ in range(len(d.nodes)):
-        refined = {}
-        for nid in d.nodes:
-            neigh = ",".join(sorted(labels[m] for m in d.neighbors(nid)))
-            refined[nid] = f"{labels[nid]}({neigh})"
-        if len(set(refined.values())) == len(set(labels.values())):
-            labels = refined
-            break
+        refined = _rank({nid: (label, tuple(sorted(labels[m] for m in d._adj[nid])))
+                         for nid, label in labels.items()})
+        stable = len(set(refined.values())) == len(set(labels.values()))
         labels = refined
+        if stable:
+            break
 
     # Breadth-first from the ordered boundaries keeps contraction local, so
     # the number of simultaneously open tensor axes stays near the diagram
@@ -327,6 +335,8 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
             f"diagram too large for brute force ({len(d.edges)} edges, "
             f"{len(d.inputs) + len(d.outputs)} open legs; limit {MAX_EVAL_EDGES} each)"
         )
+    if d._matrix is not None:
+        return d._matrix
     order = _canonical_order(d)
     rank = {nid: r for r, nid in enumerate(order)}
     # Einsum labels: edge k of the rank-sorted edge list is label k; the
@@ -341,19 +351,28 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
     # identity that renames its edge label to its boundary label.
     n_in, n_open = len(d.inputs), len(d.inputs) + len(d.outputs)
     current, current_labels = np.array(1.0 + 0j), []
+    # Each distinct spider is built once. The phase is keyed on its bits:
+    # 0j == -0j, but e^{i(-0-0j)} is 1-0j.
+    tensors: dict[tuple, np.ndarray] = {}
     for r in [*range(n_open, len(order)), *range(n_open)]:
         if r < n_open:
             t, t_labels = np.eye(2), [legs[r][0], len(ends) + r]
         else:
             node = d.nodes[order[r]]
-            t, t_labels = _node_tensor(node.kind, node.phase, len(legs[r])), legs[r]
+            phase = complex(node.phase)
+            key = (node.kind, phase.real.hex(), phase.imag.hex(), len(legs[r]))
+            if key not in tensors:
+                tensors[key] = _node_tensor(node.kind, node.phase, len(legs[r]))
+            t, t_labels = tensors[key], legs[r]
         both = current_labels + t_labels
         kept = [label for label in both if both.count(label) == 1]
         current, current_labels = np.einsum(current, current_labels, t, t_labels, kept), kept
 
     out_labels = [len(ends) + r for r in [*range(n_in, n_open), *range(n_in)]]
-    current = np.einsum(current, current_labels, out_labels)
-    return current.reshape(2 ** len(d.outputs), 2 ** n_in)
+    matrix = np.einsum(current, current_labels, out_labels).reshape(2 ** len(d.outputs), 2 ** n_in)
+    matrix.flags.writeable = False
+    object.__setattr__(d, "_matrix", matrix)
+    return matrix
 
 
 # ---------------------------------------------------------------------------

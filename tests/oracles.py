@@ -4,8 +4,11 @@
 `circuits`, verbatim, and `run_density_dense` the former dense density-matrix
 loop built on it; they stay as the references for `circuits._apply_op`.
 `tensordot_evaluate` and `_node_tensor` are the former per-leg tensordot
-contraction of `zx.evaluate`, verbatim but for the function name. The
-property tests in test_oracles.py compare the library against them.
+contraction of `zx.evaluate`, verbatim but for the function name, and
+`string_canonical_order` the former string-label `zx._canonical_order` it
+contracts in, verbatim but for the name, so the oracle shares no code with
+the integer colour refinement it checks. The property tests in
+test_oracles.py compare the library against them.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from nohidelab.qmath import HADAMARD
-from nohidelab.zx import BOUNDARY_KINDS, MAX_EVAL_EDGES, ZXDiagram, _canonical_order
+from nohidelab.zx import BOUNDARY_KINDS, MAX_EVAL_EDGES, ZXDiagram
 
 
 def embed_matrix(u: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
@@ -57,6 +60,55 @@ def run_density_dense(circuit, channels, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def string_canonical_order(d: ZXDiagram) -> list[int]:
+    # Refined labels make the order a function of the graph alone (not of
+    # node ids), so relabeled diagrams contract identically bit for bit.
+    labels = {}
+    for nid, node in d.nodes.items():
+        if nid in d.inputs:
+            labels[nid] = f"in{d.inputs.index(nid)}"
+        elif nid in d.outputs:
+            labels[nid] = f"out{d.outputs.index(nid)}"
+        else:
+            phase = node.phase
+            labels[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
+    for _ in range(len(d.nodes)):
+        refined = {}
+        for nid in d.nodes:
+            neigh = ",".join(sorted(labels[m] for m in d.neighbors(nid)))
+            refined[nid] = f"{labels[nid]}({neigh})"
+        if len(set(refined.values())) == len(set(labels.values())):
+            labels = refined
+            break
+        labels = refined
+
+    # Breadth-first from the ordered boundaries keeps contraction local, so
+    # the number of simultaneously open tensor axes stays near the diagram
+    # width instead of its edge count.
+    order: list[int] = []
+    seen: set[int] = set()
+    queue: list[int] = []
+    for nid in list(d.inputs) + list(d.outputs):
+        seen.add(nid)
+        order.append(nid)
+        queue.append(nid)
+    while True:
+        while queue:
+            nid = queue.pop(0)
+            for m in sorted(d.neighbors(nid), key=lambda x: (labels[x], x)):
+                if m not in seen:
+                    seen.add(m)
+                    order.append(m)
+                    queue.append(m)
+        rest = [n for n in d.nodes if n not in seen]
+        if not rest:
+            return order
+        start = min(rest, key=lambda x: (labels[x], x))
+        seen.add(start)
+        order.append(start)
+        queue.append(start)
+
+
 def _node_tensor(kind: str, phase: complex, legs: int) -> np.ndarray:
     if kind == "H":
         return HADAMARD.copy()
@@ -78,7 +130,7 @@ def tensordot_evaluate(d: ZXDiagram) -> np.ndarray:
         raise ValueError(
             f"diagram too large for brute force ({len(d.edges)} edges > {MAX_EVAL_EDGES})"
         )
-    order = _canonical_order(d)
+    order = string_canonical_order(d)
     rank = {nid: i for i, nid in enumerate(order)}
     # edge instances in canonical order
     instances = sorted(

@@ -17,13 +17,15 @@ from nohidelab.zx import (
     TRANSLATABLE_GATES,
     ZXDiagram,
     ZXNode,
+    _canonical_order,
+    apply_rule,
     circuit_to_zx,
     evaluate,
     plug_state,
 )
 
 from conftest import random_density
-from oracles import embed_matrix, run_density_dense, tensordot_evaluate
+from oracles import embed_matrix, run_density_dense, string_canonical_order, tensordot_evaluate
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -127,3 +129,22 @@ def test_evaluate_matches_tensordot_oracle(d):
     want = tensordot_evaluate(d)
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-12
+
+
+@st.composite
+def recoloured_diagrams(draw):
+    # A colour change puts an H box on every leg of a spider; only the
+    # refinement tells those H boxes apart.
+    d = draw(plugged_diagrams())
+    for nid in d.spiders():
+        if draw(st.booleans()):
+            d = apply_rule(d, "C", (nid,))
+    return d
+
+
+@PROPERTY
+@given(recoloured_diagrams())
+def test_canonical_order_matches_string_oracle(d):
+    # Integer ranks follow the order of the label strings they replace, so
+    # both refinements find the same classes and the BFS visits alike.
+    assert _canonical_order(d) == string_canonical_order(d)

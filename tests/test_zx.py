@@ -69,6 +69,19 @@ def spider_map(num_in: int, num_out: int, kind: str, phase: complex = 0j) -> ZXD
     return ZXDiagram(nodes, tuple(edges), tuple(inputs), tuple(outputs))
 
 
+def count_contractions(monkeypatch) -> list:
+    """Record every contraction evaluate starts, by wrapping _canonical_order."""
+    started = []
+    canonical_order = zx._canonical_order
+
+    def counted(d):
+        started.append(d)
+        return canonical_order(d)
+
+    monkeypatch.setattr(zx, "_canonical_order", counted)
+    return started
+
+
 class TestEvaluate:
     def test_bare_wire_is_identity(self):
         assert np.abs(evaluate(wire_diagram()) - np.eye(2)).max() < 1e-12
@@ -122,6 +135,25 @@ class TestEvaluate:
         monkeypatch.setattr(zx, "_canonical_order", contraction_started)
         with pytest.raises(ValueError, match="too large for brute force"):
             evaluate(circuit_to_zx(Circuit(13)))
+
+    def test_result_is_cached_read_only(self, monkeypatch):
+        d = circuit_to_zx(Circuit(2, (Gate("cx", (0, 1)),)))
+        started = count_contractions(monkeypatch)
+        m = evaluate(d)
+        assert evaluate(d) is m
+        assert len(started) == 1
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+    def test_rewritten_diagram_is_contracted_afresh(self, monkeypatch):
+        d = circuit_to_zx(Circuit(1, (Gate("h", (0,)), Gate("h", (0,)))))
+        before = evaluate(d)
+        started = count_contractions(monkeypatch)
+        new = apply_rule(d, "HH", match_rule(d, "HH")[0])
+        after = evaluate(new)
+        assert started == [new]
+        assert np.abs(after - np.eye(2)).max() < 1e-12
+        assert np.abs(before - np.eye(2)).max() < 1e-12
 
     def test_permutations_do_not_change_bits(self, rng):
         for _ in range(20):
@@ -447,6 +479,16 @@ class TestScriptedDerivation:
         carrier = d.neighbors(d.inputs[0])[0]
         assert d.nodes[carrier].kind == "X"
         assert not np.isclose(np.exp(1j * d.nodes[carrier].phase), 1.0)
+
+    def test_each_diagram_is_contracted_once(self, monkeypatch):
+        # 15 diagrams in the derivation (the initial one and one per step),
+        # then 9 new ones when simplify restarts from the initial diagram:
+        # every "before" is a carried-forward "after".
+        started = count_contractions(monkeypatch)
+        result = run_scripted_derivation()
+        simplify(result.initial)
+        assert len(started) == 24
+        assert len({id(d) for d in started}) == 24
 
     def test_steps_helper_returns_flat_list(self):
         steps = scripted_derivation()
