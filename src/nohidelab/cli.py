@@ -15,7 +15,7 @@ import numpy as np
 from . import nohiding, tomo, zx
 from .circuits import CircuitParseError, parse_circuit, run_statevector
 from .jsonio import csv_text, json_text, write_text_atomic
-from .qmath import StateVector, partial_trace
+from .qmath import StateVector
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -113,9 +113,6 @@ def _state_pairs(amps) -> list[list[float]]:
 
 def cmd_perfect(args) -> int:
     result = nohiding.run_perfect(args.variant, shots=args.shots, seed=args.seed)
-    rho = result.final_state.to_density()
-    bell_target = partial_trace(rho, result.bell_pair)
-    transfer_target = partial_trace(rho, [result.transfer_qubit])
     payload = {
         "command": "perfect",
         "variant": args.variant,
@@ -125,12 +122,12 @@ def cmd_perfect(args) -> int:
         "bell": {
             "qubits": list(result.bell_pair),
             "fidelity_exact": result.bell_fidelity,
-            "tomography": tomo.report_dict(result.bell_tomo, bell_target),
+            "tomography": tomo.report_dict(result.bell_tomo),
         },
         "transfer": {
             "qubit": result.transfer_qubit,
             "fidelity_exact": result.transfer_fidelity,
-            "tomography": tomo.report_dict(result.transfer_tomo, transfer_target),
+            "tomography": tomo.report_dict(result.transfer_tomo),
         },
     }
     _emit(json_text(payload), args.out)

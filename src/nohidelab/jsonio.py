@@ -23,46 +23,31 @@ def format_float(x: float) -> str:
     return text
 
 
-def _render(value, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
+def _render(value, indent: int) -> str:
+    if isinstance(value, float):  # most leaves are floats: test them first
+        return format_float(value)
     if isinstance(value, Mapping):
         if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, item) in enumerate(items):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _render(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
+            return "{}"
+        pad = "\n" + "  " * (indent + 1)
+        items = [f"{json.dumps(str(key))}: {_render(item, indent + 1)}"
+                 for key, item in value.items()]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
-            _render(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool) or value is None:
-        out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+            return "[]"
+        pad = "\n" + "  " * (indent + 1)
+        items = [_render(item, indent + 1) for item in value]
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    if isinstance(value, (bool, str)) or value is None:
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def json_text(value) -> str:
-    out: list[str] = []
-    _render(value, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _render(value, 0) + "\n"
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:

@@ -14,6 +14,7 @@ the system mixes the input with I/2 at weight p.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,8 +97,12 @@ class RandomizerVariant:
     bell_state: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+        # build_randomizer shares one instance per tag: keep read-only copies.
+        for name in ("matrix", "bell_state"):
+            a = np.array(getattr(self, name), dtype=complex)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        m = self.matrix
         if m.shape != (8, 8):
             raise ValueError("randomizer must be an 8x8 matrix")
         if not is_unitary(m, 1e-10):
@@ -122,7 +127,9 @@ def _is_signed_pauli(block: np.ndarray) -> bool:
     return False
 
 
+@functools.cache
 def build_randomizer(tag: str) -> RandomizerVariant:
+    """The validated variant for `tag`, built once per process and shared."""
     if tag not in _VARIANT_DEFS:
         raise ValueError(f"unknown randomizer variant {tag!r}")
     defn = _VARIANT_DEFS[tag]
@@ -215,10 +222,10 @@ def run_perfect(
 
     bell_target = DensityMatrix(2, np.outer(variant.bell_state, variant.bell_state.conj()))
     psi_target = psi.to_density()
-    bell_fid = fidelity(partial_trace(rho, variant.bell_pair), bell_target)
-    transfer_fid = fidelity(partial_trace(rho, [variant.transfer_qubit]), psi_target)
     bell_tomo = tomo_pipeline(rho, variant.bell_pair, shots, seed)
     transfer_tomo = tomo_pipeline(rho, [variant.transfer_qubit], shots, seed)
+    bell_fid = fidelity(bell_tomo.reduced, bell_target)
+    transfer_fid = fidelity(transfer_tomo.reduced, psi_target)
     return PerfectResult(
         variant=tag,
         input_state=psi,
@@ -332,8 +339,8 @@ def run_sweep(
         circuit = build_imperfect_circuit(p)
         inp = psi.tensor(StateVector.ket("000"))
         rho = run_statevector(circuit, inp).to_density()
-        system = partial_trace(rho, [_IMPERFECT_SYSTEM_WIRE])
         tomo = tomo_pipeline(rho, [_IMPERFECT_SYSTEM_WIRE], shots, entry_seed)
+        system = tomo.reduced
         records.append(ExperimentRecord(
             p=float(p),
             bell_fidelity=fidelity(partial_trace(rho, _IMPERFECT_BELL_PAIR), bell_target),

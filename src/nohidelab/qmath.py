@@ -7,14 +7,14 @@ significant bit of an amplitude or matrix index, so the basis ket
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 ATOL = 1e-10
-# Eigenvalues in [-EIG_CLAMP, 0) are treated as roundoff and clamped to 0
-# when taking matrix square roots; anything below is a genuine error.
+# Eigenvalues in [-EIG_CLAMP, 0) are treated as roundoff; a DensityMatrix
+# with anything below is rejected as not PSD.
 EIG_CLAMP = 1e-9
 # Positive eigenvalues below this are solver noise on a rank-deficient
 # input; sqrt would amplify them to ~1e-8, so they are zeroed instead.
@@ -74,20 +74,6 @@ def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np
         )
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w[::-1], v[:, ::-1]
-
-
-def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues in [-EIG_CLAMP, 0) are clamped to 0; anything more negative
-    is rejected as nonphysical.
-    """
-    w, v = hermitian_eig(m)
-    low = float(w.min())
-    if low < -EIG_CLAMP:
-        raise ValueError(f"matrix has negative eigenvalue {low:.3e} below clamp threshold")
-    w = np.where(w < SQRT_FLOOR, 0.0, w)
-    return v @ np.diag(np.sqrt(w)) @ v.conj().T
 
 
 def proportionality(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> complex | None:
@@ -154,10 +140,16 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state of an n-qubit register: Hermitian, unit trace, PSD."""
+    """Mixed state of an n-qubit register: Hermitian, unit trace, PSD.
+
+    The eigendecomposition that proves PSD is kept, read-only, in `_spectrum`
+    (descending eigenvalues, eigenvector columns) for later use by fidelity.
+    `matrix` is not copied, so it must not be changed after construction.
+    """
 
     num_qubits: int
     matrix: np.ndarray
+    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -170,13 +162,12 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond tolerance")
-        w, _ = hermitian_eig(m)
+        w, v = hermitian_eig(m)
         if float(w.min()) < -EIG_CLAMP:
             raise ValueError(f"density matrix has negative eigenvalue {float(w.min()):.3e}")
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        return state.to_density()
+        w.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "_spectrum", (w, v))
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
@@ -204,9 +195,10 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(a) b sqrt(a)), in [0, 1]."""
     _require_same_dims(a, b)
-    sa = matrix_sqrt_psd(a.matrix)
+    w, v = a._spectrum
+    sa = v @ np.diag(np.sqrt(np.where(w < SQRT_FLOOR, 0.0, w))) @ v.conj().T
     inner = sa @ b.matrix @ sa
-    w, _ = hermitian_eig((inner + inner.conj().T) / 2.0)
+    w, _ = hermitian_eig(inner)
     w = np.where(w < SQRT_FLOOR, 0.0, w)
     return float(np.clip(np.sum(np.sqrt(w)), 0.0, 1.0))
 

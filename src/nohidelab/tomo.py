@@ -213,9 +213,12 @@ def project_physical(raw: TomogramRaw) -> DensityMatrix:
 
 
 class TomoResult(NamedTuple):
+    """Tomography of one reduced state; `fidelity` compares `physical` to `reduced`."""
+
     raw: TomogramRaw
     physical: DensityMatrix
     fidelity: float
+    reduced: DensityMatrix
 
 
 def tomo_pipeline(
@@ -244,16 +247,16 @@ def tomo_pipeline(
         expectations = estimate_expectations(counts_by_basis, n)
     raw = reconstruct(expectations, n)
     physical = project_physical(raw)
-    return TomoResult(raw, physical, fidelity(physical, reduced))
+    return TomoResult(raw, physical, fidelity(physical, reduced), reduced)
 
 
-def report_dict(result: TomoResult, target: DensityMatrix) -> dict:
-    """JSON-ready tomography report against a target state."""
+def report_dict(result: TomoResult) -> dict:
+    """JSON-ready tomography report against the exact reduced state."""
     phys = result.physical
     return {
         "raw_min_eigenvalue": result.raw.min_eigenvalue,
-        "fidelity": fidelity(phys, target),
-        "trace_distance": trace_distance(phys, target),
+        "fidelity": result.fidelity,
+        "trace_distance": trace_distance(phys, result.reduced),
         "matrix_re": [[float(x) for x in row] for row in phys.matrix.real],
         "matrix_im": [[float(x) for x in row] for row in phys.matrix.imag],
     }

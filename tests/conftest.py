@@ -25,3 +25,12 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240683)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch) -> list[np.ndarray]:
+    """The matrices passed to np.linalg.eigh while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    return calls

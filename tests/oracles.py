@@ -7,8 +7,10 @@ loop built on it; they stay as the references for `circuits._apply_op`.
 contraction of `zx.evaluate`, verbatim but for the function name, and
 `string_canonical_order` the former string-label `zx._canonical_order` it
 contracts in, verbatim but for the name, so the oracle shares no code with
-the integer colour refinement it checks. The property tests in
-test_oracles.py compare the library against them.
+the integer colour refinement it checks. `two_eigensolve_fidelity` is the
+former `qmath.fidelity` with its `matrix_sqrt_psd`, which decomposed the
+first state again instead of reading its stored validation spectrum. The
+property tests in test_oracles.py compare the library against them.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from nohidelab.qmath import HADAMARD
+from nohidelab.qmath import EIG_CLAMP, HADAMARD, SQRT_FLOOR, DensityMatrix, hermitian_eig
 from nohidelab.zx import BOUNDARY_KINDS, MAX_EVAL_EDGES, ZXDiagram
 
 
@@ -58,6 +60,29 @@ def run_density_dense(circuit, channels, rho: np.ndarray) -> np.ndarray:
             u = embed_matrix(g.local_matrix(), g.targets, n)
             rho = u @ rho @ u.conj().T
     return rho
+
+
+def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix.
+
+    Eigenvalues in [-EIG_CLAMP, 0) are clamped to 0; anything more negative
+    is rejected as nonphysical.
+    """
+    w, v = hermitian_eig(m)
+    low = float(w.min())
+    if low < -EIG_CLAMP:
+        raise ValueError(f"matrix has negative eigenvalue {low:.3e} below clamp threshold")
+    w = np.where(w < SQRT_FLOOR, 0.0, w)
+    return v @ np.diag(np.sqrt(w)) @ v.conj().T
+
+
+def two_eigensolve_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Uhlmann fidelity tr sqrt(sqrt(a) b sqrt(a)), in [0, 1]."""
+    sa = matrix_sqrt_psd(a.matrix)
+    inner = sa @ b.matrix @ sa
+    w, _ = hermitian_eig((inner + inner.conj().T) / 2.0)
+    w = np.where(w < SQRT_FLOOR, 0.0, w)
+    return float(np.clip(np.sum(np.sqrt(w)), 0.0, 1.0))
 
 
 def string_canonical_order(d: ZXDiagram) -> list[int]:

@@ -195,6 +195,18 @@ class TestSimulate:
         assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv, eigensolves", [
+    (["imperfect", "--shots", "1024"], 157),
+    (["perfect", "--shots", "8192"], 17),
+])
+def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
+    # One per validated DensityMatrix, tomogram and trace distance, and one
+    # per fidelity: its square root reuses the first state's validation.
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(eigh_calls) == eigensolves
+
+
 class TestArgHandling:
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(["perfect", "--bogus"], capsys)[0] == 2

@@ -4,6 +4,8 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nohidelab.jsonio import csv_text, format_float, json_text, write_text_atomic
 
@@ -48,6 +50,35 @@ class TestJsonText:
     def test_deterministic(self):
         payload = {"a": [1.5, {"b": 2.5}], "c": "d"}
         assert json_text(payload) == json_text(payload)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        max_leaves=20,
+    ))
+    def test_layout_matches_json_dumps_indent_2(self, value):
+        assert json_text(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_layout_with_floats_golden(self):
+        payload = {"p": 0.1, "xs": [1.0, -2.5e-17, 1 / 3, (2, [])], "m": {}, "b": False}
+        assert json_text(payload) == (
+            '{\n'
+            '  "p": 0.10000000000000001,\n'
+            '  "xs": [\n'
+            '    1.0,\n'
+            '    -2.4999999999999999e-17,\n'
+            '    0.33333333333333331,\n'
+            '    [\n'
+            '      2,\n'
+            '      []\n'
+            '    ]\n'
+            '  ],\n'
+            '  "m": {},\n'
+            '  "b": false\n'
+            '}\n'
+        )
 
 
 def test_csv_text_layout():

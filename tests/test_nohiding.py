@@ -58,6 +58,15 @@ class TestRandomizer:
                 system = partial_trace(out.to_density(), [0])
                 assert np.abs(system.matrix - np.eye(2) / 2).max() < 1e-10
 
+    def test_each_variant_built_once_and_read_only(self):
+        for tag in nohiding.VARIANT_TAGS:
+            v = build_randomizer(tag)
+            assert build_randomizer(tag) is v
+            with pytest.raises(ValueError, match="read-only"):
+                v.matrix[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                v.bell_state[0] = 0.0
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown randomizer variant"):
             build_randomizer("eq3")

@@ -12,7 +12,7 @@ from nohidelab.circuits import (
     gate_matrix,
     run_density,
 )
-from nohidelab.qmath import hermitian_eig
+from nohidelab.qmath import DensityMatrix, fidelity, hermitian_eig
 from nohidelab.zx import (
     TRANSLATABLE_GATES,
     ZXDiagram,
@@ -25,7 +25,13 @@ from nohidelab.zx import (
 )
 
 from conftest import random_density
-from oracles import embed_matrix, run_density_dense, string_canonical_order, tensordot_evaluate
+from oracles import (
+    embed_matrix,
+    run_density_dense,
+    string_canonical_order,
+    tensordot_evaluate,
+    two_eigensolve_fidelity,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -103,6 +109,28 @@ def test_eigenvalues_match_jacobi_oracle(m):
     assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
     assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-12
     assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-12
+
+
+@st.composite
+def density_pairs(draw):
+    # Low ranks exercise the SQRT_FLOOR clamp on near-zero eigenvalues.
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def density(rank):
+        f = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+        rho = f @ f.conj().T
+        return DensityMatrix(n, rho / np.trace(rho))
+
+    return density(draw(st.integers(1, 2 ** n))), density(draw(st.integers(1, 2 ** n)))
+
+
+@PROPERTY
+@given(density_pairs())
+def test_fidelity_matches_two_eigensolve_oracle_bitwise(pair):
+    a, b = pair
+    assert fidelity(a, b) == two_eigensolve_fidelity(a, b)
+    assert fidelity(b, a) == two_eigensolve_fidelity(b, a)
 
 
 @PROPERTY

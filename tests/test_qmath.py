@@ -120,6 +120,12 @@ class TestFidelity:
         overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
         assert fidelity(a.to_density(), b.to_density()) == pytest.approx(overlap, abs=1e-9)
 
+    def test_one_eigensolve_reusing_the_stored_spectrum(self, rng, eigh_calls):
+        a, b = random_density(rng, 2), random_density(rng, 2)
+        eigh_calls.clear()
+        fidelity(a, b)
+        assert len(eigh_calls) == 1
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="dimension mismatch"):
             fidelity(random_density(rng, 1), random_density(rng, 2))
@@ -209,6 +215,17 @@ class TestStateTypes:
             DensityMatrix(1, np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
+
+    def test_density_keeps_its_validation_spectrum_read_only(self, rng):
+        rho = random_density(rng, 2)
+        w, v = rho._spectrum
+        assert list(w) == sorted(w, reverse=True)
+        assert np.abs(v @ np.diag(w) @ v.conj().T - rho.matrix).max() < 1e-12
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0.0
+        assert "_spectrum" not in repr(rho)
 
     def test_predicates(self, rng):
         assert qmath.is_unitary(qmath.HADAMARD)

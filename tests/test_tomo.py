@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nohidelab import nohiding, qmath, tomo
-from nohidelab.qmath import DensityMatrix, StateVector
+from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 from nohidelab.tomo import (
     ShotCounts,
     TomogramRaw,
@@ -258,9 +258,16 @@ class TestPipeline:
     def test_report_schema(self, rng):
         rho = random_density(rng, 1)
         result = tomo_pipeline(rho, [0], shots=None)
-        report = tomo.report_dict(result, rho)
+        report = tomo.report_dict(result)
         assert set(report) == {
             "raw_min_eigenvalue", "fidelity", "trace_distance", "matrix_re", "matrix_im",
         }
-        assert report["fidelity"] == pytest.approx(1.0, abs=1e-9)
+        assert report["fidelity"] == result.fidelity == pytest.approx(1.0, abs=1e-9)
         assert report["trace_distance"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_reduced_is_the_exact_partial_trace(self, rng):
+        rho = random_density(rng, 3)
+        for qubits in ([1], [2, 0]):
+            result = tomo_pipeline(rho, qubits, shots=512, seed=4)
+            assert np.array_equal(result.reduced.matrix, partial_trace(rho, qubits).matrix)
+            assert result.fidelity == qmath.fidelity(result.physical, result.reduced)
