@@ -190,8 +190,8 @@ def cmd_zx(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         text = args.circuit_file.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read circuit file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # the latter is a ValueError
+        raise ConfigError(f"cannot read circuit file {args.circuit_file}: {exc}") from exc
     try:
         circuit = parse_circuit(text)
     except CircuitParseError as exc:

@@ -36,13 +36,11 @@ SPIDER_KINDS = ("Z", "X")
 BOUNDARY_KINDS = ("in", "out")
 RULES = ("S1", "S2", "C", "B2", "HH")
 
-# Brute-force contraction gate, on the edge count and on the open-leg count
-# (inputs plus outputs) alike. The scripted derivation peaks at 17 edges
-# mid-stage and the decoded three-wire circuit translates to 23, so the
-# gate sits above both while still refusing anything that could make dense
-# contraction expensive. It also keeps evaluate's einsum labels (one per
-# edge and one per open leg) at 24 + 24 = 48, under numpy's limit of 52.
-MAX_EVAL_EDGES = 24
+# Brute-force contraction budget in axes of dimension 2, for the open legs,
+# each node's legs and the live axes of each fold step alike: no array
+# evaluate builds exceeds 2^24 complex entries (256 MiB), and an einsum call
+# sees at most 48 labels, under numpy's 52. The derivation's widest step has 12.
+MAX_EVAL_AXES = 24
 
 _GATE_PHASES = {"z": math.pi, "s": math.pi / 2, "t": math.pi / 4}
 
@@ -324,22 +322,20 @@ def _node_tensor(kind: str, phase: complex, legs: int) -> np.ndarray:
     return b + cmath.exp(1j * phase) * c
 
 
-def _contractible(d: ZXDiagram) -> bool:
-    return max(len(d.edges), len(d.inputs) + len(d.outputs)) <= MAX_EVAL_EDGES
+def _check_budget(n: int, what: str) -> None:
+    if n > MAX_EVAL_AXES:
+        raise ValueError(f"diagram too large for brute force ({n} {what}; limit {MAX_EVAL_AXES})")
 
 
 def evaluate(d: ZXDiagram) -> np.ndarray:
     """Contract the diagram to a 2^|outputs| x 2^|inputs| matrix."""
-    if not _contractible(d):
-        raise ValueError(
-            f"diagram too large for brute force ({len(d.edges)} edges, "
-            f"{len(d.inputs) + len(d.outputs)} open legs; limit {MAX_EVAL_EDGES} each)"
-        )
+    n_in, n_open = len(d.inputs), len(d.inputs) + len(d.outputs)
+    _check_budget(n_open, "open legs")
     if d._matrix is not None:
         return d._matrix
     order = _canonical_order(d)
     rank = {nid: r for r, nid in enumerate(order)}
-    # Einsum labels: edge k of the rank-sorted edge list is label k; the
+    # Global labels: edge k of the rank-sorted edge list is label k; the
     # boundary of rank r (inputs, then outputs) is label len(edges) + r.
     ends = sorted(sorted((rank[a], rank[b])) for a, b in d.edges)
     legs: list[list[int]] = [[] for _ in order]
@@ -347,29 +343,42 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
         legs[r].append(label)
         legs[s].append(label)
 
-    # Fold spiders and H boxes in canonical order, then each boundary as an
-    # identity that renames its edge label to its boundary label.
-    n_in, n_open = len(d.inputs), len(d.inputs) + len(d.outputs)
-    current, current_labels = np.array(1.0 + 0j), []
+    # Plan the fold on labels alone, so the budget refuses before any array
+    # is built: spiders and H boxes in canonical order, then each boundary as
+    # an identity that renames its edge label to its boundary label. Each
+    # einsum call numbers only the labels it sees, in their global order; it
+    # sums in label order, so its result is bit for bit as with global labels.
+    plan, live = [], []
+    for r in [*range(n_open, len(order)), *range(n_open)]:
+        t_labels = legs[r] if r >= n_open else [legs[r][0], len(ends) + r]
+        _check_budget(len(t_labels), "legs on one node")
+        both = live + t_labels
+        kept = [label for label in both if both.count(label) == 1]
+        _check_budget(len(kept), "live axes in one fold step")
+        ids = {label: i for i, label in enumerate(sorted(set(both)))}
+        plan.append((r, [ids[e] for e in live], [ids[e] for e in t_labels],
+                     [ids[e] for e in kept]))
+        live = kept
+
+    current = np.array(1.0 + 0j)
     # Each distinct spider is built once. The phase is keyed on its bits:
     # 0j == -0j, but e^{i(-0-0j)} is 1-0j.
     tensors: dict[tuple, np.ndarray] = {}
-    for r in [*range(n_open, len(order)), *range(n_open)]:
+    for r, current_ids, t_ids, kept_ids in plan:
         if r < n_open:
-            t, t_labels = np.eye(2), [legs[r][0], len(ends) + r]
+            t = np.eye(2)
         else:
             node = d.nodes[order[r]]
             phase = complex(node.phase)
-            key = (node.kind, phase.real.hex(), phase.imag.hex(), len(legs[r]))
+            key = (node.kind, phase.real.hex(), phase.imag.hex(), len(t_ids))
             if key not in tensors:
-                tensors[key] = _node_tensor(node.kind, node.phase, len(legs[r]))
-            t, t_labels = tensors[key], legs[r]
-        both = current_labels + t_labels
-        kept = [label for label in both if both.count(label) == 1]
-        current, current_labels = np.einsum(current, current_labels, t, t_labels, kept), kept
+                tensors[key] = _node_tensor(node.kind, node.phase, len(t_ids))
+            t = tensors[key]
+        current = np.einsum(current, current_ids, t, t_ids, kept_ids)
 
     out_labels = [len(ends) + r for r in [*range(n_in, n_open), *range(n_in)]]
-    matrix = np.einsum(current, current_labels, out_labels).reshape(2 ** len(d.outputs), 2 ** n_in)
+    current = current.transpose([live.index(label) for label in out_labels])
+    matrix = current.reshape(2 ** len(d.outputs), 2 ** n_in)
     matrix.flags.writeable = False
     object.__setattr__(d, "_matrix", matrix)
     return matrix
@@ -610,25 +619,16 @@ def _location_from_json(location):
     return tuple(out)
 
 
-# Exact scalars implied by the normalization, used when a diagram is too
-# large to verify by contraction.
-_ANALYTIC_SCALARS = {"HH": 1.0, "S2": 1.0, "S1": 1.0, "C": 1.0, "B2": math.sqrt(2)}
-
-
 def apply_rule_checked(d: ZXDiagram, rule: str, location) -> tuple[ZXDiagram, RewriteStep]:
-    """Apply a rule and record the proportionality scalar evaluate-verified
-    when both sides are small enough to contract."""
+    """Apply a rule and record the proportionality scalar measured by
+    contracting both sides; evaluate's ValueError passes through when a side
+    is over the contraction budget, so every recorded scalar is measured."""
     new = apply_rule(d, rule, location)
-    scalar: complex
-    if _contractible(d) and _contractible(new):
-        measured = proportionality(evaluate(new), evaluate(d))
-        if measured is None or measured == 0:
-            raise RuleApplicationError(
-                f"rule {rule} at {location} did not preserve semantics up to a scalar"
-            )
-        scalar = measured
-    else:
-        scalar = complex(_ANALYTIC_SCALARS.get(rule, 1.0))
+    scalar = proportionality(evaluate(new), evaluate(d))
+    if scalar is None or scalar == 0:
+        raise RuleApplicationError(
+            f"rule {rule} at {location} did not preserve semantics up to a scalar"
+        )
     return new, RewriteStep(rule, tuple(location), scalar)
 
 

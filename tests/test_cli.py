@@ -194,6 +194,15 @@ class TestSimulate:
         assert code == 2
         assert "cannot read" in err
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.circ"
+        path.write_bytes(b"qubits 2\nh 0 # \xff\n")
+        out = tmp_path / "result.json"
+        code, _, err = run_cli(["simulate", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert f"cannot read circuit file {path}: 'utf-8' codec can't decode" in err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv, eigensolves", [
     (["imperfect", "--shots", "1024"], 157),

@@ -46,6 +46,11 @@ def random_circuit(rng, max_qubits=3, max_gates=5) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def cx_ladder(num_qubits: int) -> Circuit:
+    # 24 open legs at 12 qubits, but its fold needs 25 live axes
+    return Circuit(num_qubits, tuple(Gate("cx", (i, i + 1)) for i in range(num_qubits - 1)))
+
+
 def wire_diagram() -> ZXDiagram:
     return circuit_to_zx(Circuit(1))
 
@@ -122,13 +127,37 @@ class TestEvaluate:
         assert proportionality(m[:, 0], np.array([1, 1]) / math.sqrt(2)) is not None
 
     def test_too_large_rejected(self):
-        c = Circuit(2, tuple(Gate("h", (i % 2,)) for i in range(28)))
         with pytest.raises(ValueError, match="too large for brute force"):
-            evaluate(circuit_to_zx(c))
+            evaluate(circuit_to_zx(cx_ladder(12)))
+
+    def test_long_narrow_circuits_evaluate(self, rng):
+        # The budget counts live axes, not edges: 30 gates on 3 wires stay narrow.
+        for _ in range(5):
+            gates = []
+            for _ in range(30):
+                kind = TRANSLATABLE[int(rng.integers(len(TRANSLATABLE)))]
+                wires = rng.choice(3, size=2 if kind == "cx" else 1, replace=False)
+                gates.append(Gate(kind, tuple(int(w) for w in wires)))
+            c = Circuit(3, tuple(gates))
+            d = circuit_to_zx(c)
+            assert len(d.edges) > 40
+            assert proportionality(evaluate(d), circuit_unitary(c)) is not None
+
+    def test_wide_spider_rejected_before_building_its_tensor(self, monkeypatch):
+        # 24 open legs pass; the spider's 25th leg, to a plugged state, does not.
+        d = spider_map(12, 12, "Z")
+        d = ZXDiagram({**d.nodes, 25: ZXNode("X")}, d.edges + ((0, 25),), d.inputs, d.outputs)
+
+        def tensor_built(*_):
+            raise AssertionError("tensor built")
+
+        monkeypatch.setattr(zx, "_node_tensor", tensor_built)
+        with pytest.raises(ValueError, match=r"too large for brute force \(25 legs on one node;"):
+            evaluate(d)
 
     def test_too_many_open_legs_rejected_before_contracting(self, monkeypatch):
-        # 13 bare wires: 13 edges pass the edge gate, but the 2^13 x 2^13
-        # result would take 1 GiB.
+        # 13 bare wires: 26 open legs, so the 2^13 x 2^13 result would take
+        # 1 GiB.
         def contraction_started(_):
             raise AssertionError("contraction started")
 
@@ -274,6 +303,13 @@ class TestApplyRule:
         phases = sorted(n.phase.real for n in d2.nodes.values() if n.kind == "Z")
         assert phases == pytest.approx([0.4, 0.5])
         assert abs(step.scalar_check - 1) < 1e-9
+
+    def test_over_budget_rewrite_raises(self):
+        # No step records a scalar that was not measured by contraction.
+        c = Circuit(12, (Gate("h", (0,)), Gate("h", (0,))) + cx_ladder(12).gates)
+        d = circuit_to_zx(c)
+        with pytest.raises(ValueError, match="too large for brute force"):
+            apply_rule_checked(d, "HH", match_rule(d, "HH")[0])
 
     def test_pattern_mismatch_raises(self):
         d = circuit_to_zx(Circuit(2, (Gate("cx", (0, 1)),)))
