@@ -240,11 +240,9 @@ def run_perfect(
 
 
 # Imperfect-hiding register: (system, ancilla A, control, ancilla B) before
-# the final swaps; afterwards the system sits on wire 1 and the ancillas on
-# wires 2 and 3, which is where tomography reads them.
+# the final swaps; afterwards the system sits on wire 1, which is where
+# tomography reads it.
 _IMPERFECT_SYSTEM_WIRE = 1
-_IMPERFECT_BELL_PAIR = (1, 2)
-_IMPERFECT_TRANSFER_WIRE = 3
 
 
 def _imperfect_core_gates(p: float) -> tuple[Gate, ...]:
@@ -294,8 +292,6 @@ class ExperimentRecord:
     """One sweep entry: exact and tomographic metrics at bleaching weight p."""
 
     p: float
-    bell_fidelity: float
-    transfer_fidelity: float
     system_state: DensityMatrix
     trace_distance_to_mixed: float
     fidelity_to_mixed: float
@@ -308,8 +304,7 @@ class ExperimentRecord:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p={self.p!r} outside [0, 1]")
-        for name in ("bell_fidelity", "transfer_fidelity", "fidelity_to_mixed",
-                     "fidelity_tomo"):
+        for name in ("fidelity_to_mixed", "fidelity_tomo"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value!r} outside [0, 1]")
@@ -331,8 +326,6 @@ def run_sweep(
     if psi is None:
         psi = default_input_state()
     mixed = DensityMatrix.maximally_mixed(1)
-    psi_target = psi.to_density()
-    bell_target = DensityMatrix(2, np.outer(_BELL_PSI_PLUS, _BELL_PSI_PLUS.conj()))
     records = []
     for index, p in enumerate(p_values):
         entry_seed = seed + index
@@ -343,10 +336,6 @@ def run_sweep(
         system = tomo.reduced
         records.append(ExperimentRecord(
             p=float(p),
-            bell_fidelity=fidelity(partial_trace(rho, _IMPERFECT_BELL_PAIR), bell_target),
-            transfer_fidelity=fidelity(
-                partial_trace(rho, [_IMPERFECT_TRANSFER_WIRE]), psi_target
-            ),
             system_state=system,
             trace_distance_to_mixed=trace_distance(system, mixed),
             fidelity_to_mixed=fidelity(system, mixed),

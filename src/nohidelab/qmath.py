@@ -59,12 +59,14 @@ def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np
     descending order and eigenvectors as the columns of a unitary matrix,
     so that m = V diag(w) V^dagger.
 
-    Raises ValueError for input that is not Hermitian within `tol`, naming
-    the worst asymmetric entry.
+    Raises ValueError for input with a NaN or infinite entry, or that is not
+    Hermitian within `tol`, naming the worst asymmetric entry.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     asym = np.abs(m - m.conj().T)
     worst = float(asym.max()) if m.size else 0.0
     if worst > tol:

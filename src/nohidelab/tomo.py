@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .qmath import (
     DensityMatrix,
     fidelity,
     hermitian_eig,
-    is_hermitian,
     kron,
     partial_trace,
     trace_distance,
@@ -155,19 +154,29 @@ def estimate_expectations(
 
 @dataclass(frozen=True)
 class TomogramRaw:
-    """Linear-inversion reconstruction; Hermitian and unit trace, PSD not required."""
+    """Linear-inversion reconstruction; Hermitian and unit trace, PSD not required.
+
+    Its eigendecomposition is kept, read-only, in `spectrum` (descending
+    eigenvalues, eigenvector columns) for `min_eigenvalue` and projection.
+    """
 
     matrix: np.ndarray
-    min_eigenvalue: float
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if not is_hermitian(m, 1e-9):
-            raise ValueError("raw tomogram is not Hermitian within tolerance")
+        w, v = hermitian_eig(m, tol=1e-9)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"raw tomogram trace {tr!r} differs from 1")
+        w.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "spectrum", (w, v))
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.spectrum[0][-1])
 
     @property
     def num_qubits(self) -> int:
@@ -185,8 +194,7 @@ def reconstruct(expectations: Mapping[str, float], num_qubits: int) -> TomogramR
             raise ValueError(f"missing expectation for Pauli {pauli!r}")
         rho = rho + expectations[pauli] * pauli_matrix(pauli)
     rho /= dim
-    w, _ = hermitian_eig(rho)
-    return TomogramRaw(rho, float(w[-1]))
+    return TomogramRaw(rho)
 
 
 def project_physical(raw: TomogramRaw) -> DensityMatrix:
@@ -196,7 +204,7 @@ def project_physical(raw: TomogramRaw) -> DensityMatrix:
     zero it, and spread the deficit uniformly over the eigenvalues still in
     play; stop once the smallest survivor stays nonnegative.
     """
-    w, v = hermitian_eig(raw.matrix)  # descending
+    w, v = raw.spectrum  # descending
     d = len(w)
     out = np.zeros(d)
     acc = 0.0
@@ -213,11 +221,10 @@ def project_physical(raw: TomogramRaw) -> DensityMatrix:
 
 
 class TomoResult(NamedTuple):
-    """Tomography of one reduced state; `fidelity` compares `physical` to `reduced`."""
+    """Tomography of one reduced state and the exact state it was measured from."""
 
     raw: TomogramRaw
     physical: DensityMatrix
-    fidelity: float
     reduced: DensityMatrix
 
 
@@ -247,7 +254,7 @@ def tomo_pipeline(
         expectations = estimate_expectations(counts_by_basis, n)
     raw = reconstruct(expectations, n)
     physical = project_physical(raw)
-    return TomoResult(raw, physical, fidelity(physical, reduced), reduced)
+    return TomoResult(raw, physical, reduced)
 
 
 def report_dict(result: TomoResult) -> dict:
@@ -255,7 +262,7 @@ def report_dict(result: TomoResult) -> dict:
     phys = result.physical
     return {
         "raw_min_eigenvalue": result.raw.min_eigenvalue,
-        "fidelity": result.fidelity,
+        "fidelity": fidelity(phys, result.reduced),
         "trace_distance": trace_distance(phys, result.reduced),
         "matrix_re": [[float(x) for x in row] for row in phys.matrix.real],
         "matrix_im": [[float(x) for x in row] for row in phys.matrix.imag],

@@ -836,11 +836,6 @@ def run_scripted_derivation() -> DerivationResult:
     return DerivationResult(initial, d, tuple(steps), DERIVATION_STAGES, tuple(spans))
 
 
-def scripted_derivation() -> list[RewriteStep]:
-    """The recorded steps of the scripted derivation."""
-    return list(run_scripted_derivation().steps)
-
-
 def _component_of(d: ZXDiagram, start: int) -> set[int]:
     seen = {start}
     frontier = [start]

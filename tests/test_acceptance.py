@@ -21,7 +21,7 @@ from nohidelab.nohiding import (
     run_perfect,
     run_sweep,
 )
-from nohidelab.qmath import StateVector, partial_trace, proportionality
+from nohidelab.qmath import StateVector, fidelity, partial_trace, proportionality
 
 from conftest import random_state
 from test_zx import planted_b2_diagram, random_circuit
@@ -77,8 +77,10 @@ def test_criterion_03_shot_noise_tomography():
     bell_fids, transfer_fids = [], []
     for seed in range(100):
         result = run_perfect("eq2", shots=8192, seed=seed)
-        bell_fids.append(result.bell_tomo.fidelity)
-        transfer_fids.append(result.transfer_tomo.fidelity)
+        bell_fids.append(fidelity(result.bell_tomo.physical, result.bell_tomo.reduced))
+        transfer_fids.append(
+            fidelity(result.transfer_tomo.physical, result.transfer_tomo.reduced)
+        )
     elapsed = time.perf_counter() - start
     mean_bell = float(np.mean(bell_fids))
     mean_transfer = float(np.mean(transfer_fids))

@@ -205,12 +205,13 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("argv, eigensolves", [
-    (["imperfect", "--shots", "1024"], 157),
-    (["perfect", "--shots", "8192"], 17),
+    (["imperfect", "--shots", "1024"], 89),
+    (["perfect", "--shots", "8192"], 15),
 ])
 def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
-    # One per validated DensityMatrix, tomogram and trace distance, and one
-    # per fidelity: its square root reuses the first state's validation.
+    # One per validated DensityMatrix or TomogramRaw, one per trace distance
+    # and one per fidelity. A fidelity's square root reuses the first state's
+    # spectrum, and projection reuses the tomogram's.
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(eigh_calls) == eigensolves

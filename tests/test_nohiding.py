@@ -131,8 +131,8 @@ class TestFullCircuit:
             result = run_perfect(tag)
             assert result.bell_fidelity == pytest.approx(1.0, abs=1e-10)
             assert result.transfer_fidelity == pytest.approx(1.0, abs=1e-10)
-            assert result.bell_tomo.fidelity == pytest.approx(1.0, abs=1e-9)
-            assert result.transfer_tomo.fidelity == pytest.approx(1.0, abs=1e-9)
+            for r in (result.bell_tomo, result.transfer_tomo):
+                assert qmath.fidelity(r.physical, r.reduced) == pytest.approx(1.0, abs=1e-9)
 
     def test_run_perfect_accepts_explicit_input(self, rng):
         psi = random_state(rng, 1)
@@ -172,6 +172,19 @@ class TestImperfect:
         out = run_statevector(build_imperfect_circuit(1.0), psi.tensor(StateVector.ket("000")))
         system = partial_trace(out.to_density(), [1])
         assert np.abs(system.matrix - np.eye(2) / 2).max() < 1e-10
+
+    def test_p_one_decodes_bell_pair_and_input(self):
+        # at full bleaching the decoder leaves Psi+ on wires (1, 2) and the
+        # input state on wire 3
+        psi = default_input_state()
+        out = run_statevector(build_imperfect_circuit(1.0), psi.tensor(StateVector.ket("000")))
+        rho = out.to_density()
+        psi_plus = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
+        bell = DensityMatrix(2, np.outer(psi_plus, psi_plus.conj()))
+        assert qmath.fidelity(partial_trace(rho, [1, 2]), bell) == pytest.approx(1.0, abs=1e-10)
+        assert qmath.fidelity(partial_trace(rho, [3]), psi.to_density()) == pytest.approx(
+            1.0, abs=1e-10
+        )
 
     def test_p_one_ancillas_match_plus_plus_marginal(self):
         # before the randomizer the ancilla pair is exactly |++>
@@ -214,8 +227,6 @@ class TestSweep:
         assert records[0].fidelity_to_mixed == pytest.approx(1 / math.sqrt(2), abs=1e-10)
         assert records[1].trace_distance_to_mixed == pytest.approx(0.0, abs=1e-10)
         assert records[1].fidelity_to_mixed == pytest.approx(1.0, abs=1e-10)
-        assert records[1].bell_fidelity == pytest.approx(1.0, abs=1e-10)
-        assert records[1].transfer_fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_quoted_grid_point(self):
         p = math.sin(math.pi / 10) ** 2
@@ -265,8 +276,7 @@ class TestSweep:
     def test_record_validation(self):
         with pytest.raises(ValueError, match="lower_bound"):
             ExperimentRecord(
-                p=0.5, bell_fidelity=1.0, transfer_fidelity=1.0,
-                system_state=DensityMatrix.maximally_mixed(1),
+                p=0.5, system_state=DensityMatrix.maximally_mixed(1),
                 trace_distance_to_mixed=0.25, fidelity_to_mixed=0.9,
                 fidelity_lower_bound=0.9, trace_distance_tomo=0.25,
                 fidelity_tomo=0.9, raw_min_eigenvalue=0.2, seed=0,

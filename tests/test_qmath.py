@@ -82,6 +82,13 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match=r"not Hermitian.*m\[0,1\]"):
             hermitian_eig(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN compares False against any tolerance, and inf - inf warns, so
+        # the finiteness check runs before the asymmetry scan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            hermitian_eig(np.array([[bad, 0], [0, 1]], dtype=complex))
+
 
 class TestTraceDistance:
     def test_self_distance_zero(self, rng):

@@ -152,8 +152,20 @@ class TestProjectPhysical:
         fixed = project_physical(raw)
         assert np.abs(fixed.matrix - rho.matrix).max() < 1e-10
 
+    def test_reuses_the_tomogram_spectrum(self, rng, eigh_calls):
+        expectations = exact_expectations(random_density(rng, 2))
+        eigh_calls.clear()
+        raw = reconstruct(expectations, 2)
+        assert len(eigh_calls) == 1  # the tomogram's own validation
+        w, v = raw.spectrum
+        assert not w.flags.writeable and not v.flags.writeable
+        assert raw.min_eigenvalue == w[-1]
+        eigh_calls.clear()
+        project_physical(raw)
+        assert len(eigh_calls) == 1  # the projected DensityMatrix's PSD check
+
     def test_two_level_example(self):
-        raw = TomogramRaw(np.diag([1.1, -0.1]).astype(complex), -0.1)
+        raw = TomogramRaw(np.diag([1.1, -0.1]).astype(complex))
         fixed = project_physical(raw)
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [1.0, 0.0]).max() < 1e-12
@@ -164,7 +176,7 @@ class TestProjectPhysical:
 
     def test_four_level_redistribution_vs_grid_oracle(self):
         spectrum = np.array([0.8, 0.5, -0.2, -0.1])
-        raw = TomogramRaw(np.diag(spectrum).astype(complex), -0.2)
+        raw = TomogramRaw(np.diag(spectrum).astype(complex))
         fixed = project_physical(raw)
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [0.65, 0.35, 0.0, 0.0]).max() < 1e-12
@@ -172,9 +184,9 @@ class TestProjectPhysical:
         assert ours <= _simplex_grid_best(spectrum, step=0.01) + 1e-6
 
     def test_idempotent(self, rng):
-        raw = TomogramRaw(np.diag([0.9, 0.4, -0.1, -0.2]).astype(complex), -0.2)
+        raw = TomogramRaw(np.diag([0.9, 0.4, -0.1, -0.2]).astype(complex))
         once = project_physical(raw)
-        twice = project_physical(TomogramRaw(once.matrix, 0.0))
+        twice = project_physical(TomogramRaw(once.matrix))
         assert np.abs(once.matrix - twice.matrix).max() < 1e-12
 
     def test_never_increases_distance_to_physical_states(self, rng):
@@ -185,7 +197,7 @@ class TestProjectPhysical:
             v = np.column_stack([basis.amplitudes,
                                  np.array([-basis.amplitudes[1].conj(), basis.amplitudes[0].conj()])])
             raw_m = v @ np.diag(spectrum.astype(complex)) @ v.conj().T
-            raw = TomogramRaw(raw_m, float(spectrum.min()))
+            raw = TomogramRaw(raw_m)
             fixed = project_physical(raw)
             sigma = random_density(rng, 1)
             before = np.linalg.norm(raw.matrix - sigma.matrix)
@@ -197,7 +209,7 @@ class TestPipeline:
     def test_exact_mode_is_lossless(self, rng):
         rho = random_density(rng, 3)
         result = tomo_pipeline(rho, [0, 2], shots=None)
-        assert result.fidelity == pytest.approx(1.0, abs=1e-10)
+        assert qmath.fidelity(result.physical, result.reduced) == pytest.approx(1.0, abs=1e-10)
         assert result.raw.min_eigenvalue > -1e-12
 
     def test_estimates_match_exact_at_large_shots(self):
@@ -262,7 +274,8 @@ class TestPipeline:
         assert set(report) == {
             "raw_min_eigenvalue", "fidelity", "trace_distance", "matrix_re", "matrix_im",
         }
-        assert report["fidelity"] == result.fidelity == pytest.approx(1.0, abs=1e-9)
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-9)
+        assert report["fidelity"] == qmath.fidelity(result.physical, result.reduced)
         assert report["trace_distance"] == pytest.approx(0.0, abs=1e-9)
 
     def test_reduced_is_the_exact_partial_trace(self, rng):
@@ -270,4 +283,6 @@ class TestPipeline:
         for qubits in ([1], [2, 0]):
             result = tomo_pipeline(rho, qubits, shots=512, seed=4)
             assert np.array_equal(result.reduced.matrix, partial_trace(rho, qubits).matrix)
-            assert result.fidelity == qmath.fidelity(result.physical, result.reduced)
+            assert tomo.report_dict(result)["fidelity"] == qmath.fidelity(
+                result.physical, result.reduced
+            )

@@ -22,7 +22,6 @@ from nohidelab.zx import (
     plug_state,
     replay_trace,
     run_scripted_derivation,
-    scripted_derivation,
     simplify,
     steps_from_json_list,
     steps_to_json_list,
@@ -527,7 +526,7 @@ class TestScriptedDerivation:
         assert len({id(d) for d in started}) == 24
 
     def test_steps_helper_returns_flat_list(self):
-        steps = scripted_derivation()
+        steps = run_scripted_derivation().steps
         assert len(steps) == 14
         assert {s.rule for s in steps} <= {"S1", "S2", "C", "HH"}
 
