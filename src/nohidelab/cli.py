@@ -7,6 +7,7 @@ atomically so a failed run never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -52,7 +53,9 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="nohidelab",
         description="Quantum erasure / no-hiding simulation lab",

@@ -32,12 +32,12 @@ from .qmath import (
     PAULIS,
     DensityMatrix,
     StateVector,
-    fidelity,
+    distances_to_mixed,
+    fidelity_to_pure,
     is_unitary,
     kron,
     partial_trace,
     partial_trace_matrix,
-    trace_distance,
 )
 from .tomo import TomoResult, tomo_pipeline
 
@@ -218,14 +218,11 @@ def run_perfect(
     else:
         inp = psi.tensor(StateVector.ket("00"))
     final = run_statevector(circuit, inp)
-    rho = final.to_density()
 
-    bell_target = DensityMatrix(2, np.outer(variant.bell_state, variant.bell_state.conj()))
-    psi_target = psi.to_density()
-    bell_tomo = tomo_pipeline(rho, variant.bell_pair, shots, seed)
-    transfer_tomo = tomo_pipeline(rho, [variant.transfer_qubit], shots, seed)
-    bell_fid = fidelity(bell_tomo.reduced, bell_target)
-    transfer_fid = fidelity(transfer_tomo.reduced, psi_target)
+    bell_tomo = tomo_pipeline(final, variant.bell_pair, shots, seed)
+    transfer_tomo = tomo_pipeline(final, [variant.transfer_qubit], shots, seed)
+    bell_fid = fidelity_to_pure(bell_tomo.reduced, StateVector(2, variant.bell_state))
+    transfer_fid = fidelity_to_pure(transfer_tomo.reduced, psi)
     return PerfectResult(
         variant=tag,
         input_state=psi,
@@ -325,23 +322,23 @@ def run_sweep(
     """Run the imperfect experiment across p, one derived seed per entry."""
     if psi is None:
         psi = default_input_state()
-    mixed = DensityMatrix.maximally_mixed(1)
+    inp = psi.tensor(StateVector.ket("000"))
     records = []
     for index, p in enumerate(p_values):
         entry_seed = seed + index
-        circuit = build_imperfect_circuit(p)
-        inp = psi.tensor(StateVector.ket("000"))
-        rho = run_statevector(circuit, inp).to_density()
-        tomo = tomo_pipeline(rho, [_IMPERFECT_SYSTEM_WIRE], shots, entry_seed)
+        final = run_statevector(build_imperfect_circuit(p), inp)
+        tomo = tomo_pipeline(final, [_IMPERFECT_SYSTEM_WIRE], shots, entry_seed)
         system = tomo.reduced
+        t_exact, f_exact = distances_to_mixed(system)
+        t_tomo, f_tomo = distances_to_mixed(tomo.physical)
         records.append(ExperimentRecord(
             p=float(p),
             system_state=system,
-            trace_distance_to_mixed=trace_distance(system, mixed),
-            fidelity_to_mixed=fidelity(system, mixed),
+            trace_distance_to_mixed=t_exact,
+            fidelity_to_mixed=f_exact,
             fidelity_lower_bound=1.0 - (1.0 - float(p)) / 2.0,
-            trace_distance_tomo=trace_distance(tomo.physical, mixed),
-            fidelity_tomo=fidelity(tomo.physical, mixed),
+            trace_distance_tomo=t_tomo,
+            fidelity_tomo=f_tomo,
             raw_min_eigenvalue=tomo.raw.min_eigenvalue,
             seed=entry_seed,
         ))
@@ -379,8 +376,7 @@ def bleaching_check(tag: str, psi: StateVector) -> float:
     """Trace distance of the erased system from I/2 (should be 0)."""
     circuit = build_erasure_circuit(tag)
     out = run_statevector(circuit, psi.tensor(StateVector.ket("00")))
-    system = partial_trace(out.to_density(), [0])
-    return trace_distance(system, DensityMatrix.maximally_mixed(1))
+    return distances_to_mixed(partial_trace(out, [0]))[0]
 
 
 def channel_identity_error(p: float) -> float:

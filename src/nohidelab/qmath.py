@@ -144,14 +144,15 @@ class StateVector:
 class DensityMatrix:
     """Mixed state of an n-qubit register: Hermitian, unit trace, PSD.
 
-    The eigendecomposition that proves PSD is kept, read-only, in `_spectrum`
-    (descending eigenvalues, eigenvector columns) for later use by fidelity.
-    `matrix` is not copied, so it must not be changed after construction.
+    The eigendecomposition that proves PSD is kept, read-only, in `spectrum`
+    (descending eigenvalues, eigenvector columns) for fidelity and
+    `distances_to_mixed`. `matrix` is not copied, so it must not be changed
+    after construction.
     """
 
     num_qubits: int
     matrix: np.ndarray
-    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -169,18 +170,13 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {float(w.min()):.3e}")
         w.flags.writeable = False
         v.flags.writeable = False
-        object.__setattr__(self, "_spectrum", (w, v))
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        dim = 2 ** num_qubits
-        return cls(num_qubits, np.eye(dim, dtype=complex) / dim)
+        object.__setattr__(self, "spectrum", (w, v))
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def _require_same_dims(a: DensityMatrix, b: DensityMatrix) -> None:
+def _require_same_dims(a: DensityMatrix | StateVector, b: DensityMatrix | StateVector) -> None:
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"dimension mismatch: {a.num_qubits} qubits vs {b.num_qubits} qubits"
@@ -197,7 +193,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(a) b sqrt(a)), in [0, 1]."""
     _require_same_dims(a, b)
-    w, v = a._spectrum
+    w, v = a.spectrum
     sa = v @ np.diag(np.sqrt(np.where(w < SQRT_FLOOR, 0.0, w))) @ v.conj().T
     inner = sa @ b.matrix @ sa
     w, _ = hermitian_eig(inner)
@@ -205,17 +201,47 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(np.clip(np.sum(np.sqrt(w)), 0.0, 1.0))
 
 
-def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of an arbitrary square operator over the dropped qubits.
+def fidelity_to_pure(rho: DensityMatrix, psi: StateVector) -> float:
+    """Fidelity sqrt(<psi|rho|psi>) to a pure target, in [0, 1]; no eigensolve.
 
-    `keep` lists the qubits of the reduced operator in output order.
+    An overlap below SQRT_FLOOR is zeroed, as in `fidelity`.
     """
+    _require_same_dims(rho, psi)
+    a = psi.amplitudes
+    overlap = float(np.vdot(a, rho.matrix @ a).real)
+    return min(math.sqrt(overlap), 1.0) if overlap >= SQRT_FLOOR else 0.0
+
+
+def distances_to_mixed(rho: DensityMatrix) -> tuple[float, float]:
+    """Trace distance and fidelity of `rho` to I/d, read from its spectrum.
+
+    I/d commutes with rho, so T = 1/2 sum |w - 1/d| and F = sum sqrt(w/d)
+    over the eigenvalues w of rho, with the floor and clip of `fidelity`.
+    """
+    w = rho.spectrum[0]
+    d = len(w)
+    t = 0.5 * np.sum(np.abs(w - 1.0 / d))
+    scaled = w / d
+    f = np.sum(np.sqrt(np.where(scaled < SQRT_FLOOR, 0.0, scaled)))
+    return float(np.clip(t, 0.0, 1.0)), float(np.clip(f, 0.0, 1.0))
+
+
+def _keep_list(keep: Sequence[int], num_qubits: int) -> list[int]:
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate qubit index in keep list {keep}")
     for q in keep:
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
+    return keep
+
+
+def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: Sequence[int]) -> np.ndarray:
+    """Partial trace of an arbitrary square operator over the dropped qubits.
+
+    `keep` lists the qubits of the reduced operator in output order.
+    """
+    keep = _keep_list(keep, num_qubits)
     m = np.asarray(m, dtype=complex)
     t = m.reshape([2] * (2 * num_qubits))
     remaining = list(range(num_qubits))
@@ -230,7 +256,19 @@ def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: Sequence[int]) ->
     return t.reshape(2 ** k, 2 ** k)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on `keep` (in the given order); trace is preserved."""
-    reduced = partial_trace_matrix(rho.matrix, rho.num_qubits, keep)
-    return DensityMatrix(len(list(keep)), reduced)
+def partial_trace(state: StateVector | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state on `keep` (in the given order); trace is preserved.
+
+    A pure state is reduced from its amplitudes, as M M^dagger with M the
+    amplitudes reshaped to (kept, traced) axes, so no 2^n x 2^n matrix is formed.
+    """
+    n = state.num_qubits
+    keep = _keep_list(keep, n)
+    if isinstance(state, DensityMatrix):
+        reduced = partial_trace_matrix(state.matrix, n, keep)
+    else:
+        traced = [q for q in range(n) if q not in keep]
+        m = np.transpose(state.amplitudes.reshape((2,) * n), keep + traced)
+        m = m.reshape(2 ** len(keep), -1)
+        reduced = m @ m.conj().T
+    return DensityMatrix(len(keep), reduced)

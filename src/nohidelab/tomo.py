@@ -20,6 +20,7 @@ from .qmath import (
     I2,
     PAULIS,
     DensityMatrix,
+    StateVector,
     fidelity,
     hermitian_eig,
     kron,
@@ -229,7 +230,7 @@ class TomoResult(NamedTuple):
 
 
 def tomo_pipeline(
-    state: DensityMatrix,
+    state: StateVector | DensityMatrix,
     qubits: Sequence[int],
     shots: int | None,
     seed: int = 0,

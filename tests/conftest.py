@@ -17,6 +17,11 @@ def random_density(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
     return DensityMatrix(num_qubits, rho / np.trace(rho))
 
 
+def maximally_mixed(num_qubits: int) -> DensityMatrix:
+    dim = 2 ** num_qubits
+    return DensityMatrix(num_qubits, np.eye(dim, dtype=complex) / dim)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2

@@ -205,13 +205,15 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("argv, eigensolves", [
-    (["imperfect", "--shots", "1024"], 89),
-    (["perfect", "--shots", "8192"], 15),
+    (["imperfect", "--shots", "1024"], 33),
+    (["perfect", "--shots", "8192"], 10),
 ])
 def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
-    # One per validated DensityMatrix or TomogramRaw, one per trace distance
-    # and one per fidelity. A fidelity's square root reuses the first state's
-    # spectrum, and projection reuses the tomogram's.
+    # One per validated DensityMatrix or TomogramRaw, and one per trace
+    # distance and fidelity that `perfect` reports between two states. Pure
+    # states are reduced without forming their density matrix, distances to
+    # I/2 and to pure targets need none, and fidelity and projection reuse
+    # stored spectra.
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(eigh_calls) == eigensolves

@@ -22,7 +22,7 @@ from nohidelab.nohiding import (
 )
 from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 
-from conftest import random_state
+from conftest import maximally_mixed, random_state
 
 
 class TestRandomizer:
@@ -276,7 +276,7 @@ class TestSweep:
     def test_record_validation(self):
         with pytest.raises(ValueError, match="lower_bound"):
             ExperimentRecord(
-                p=0.5, system_state=DensityMatrix.maximally_mixed(1),
+                p=0.5, system_state=maximally_mixed(1),
                 trace_distance_to_mixed=0.25, fidelity_to_mixed=0.9,
                 fidelity_lower_bound=0.9, trace_distance_tomo=0.25,
                 fidelity_tomo=0.9, raw_min_eigenvalue=0.2, seed=0,

@@ -12,7 +12,16 @@ from nohidelab.circuits import (
     gate_matrix,
     run_density,
 )
-from nohidelab.qmath import DensityMatrix, fidelity, hermitian_eig
+from nohidelab.qmath import (
+    DensityMatrix,
+    distances_to_mixed,
+    fidelity,
+    fidelity_to_pure,
+    hermitian_eig,
+    partial_trace,
+    partial_trace_matrix,
+    trace_distance,
+)
 from nohidelab.zx import (
     TRANSLATABLE_GATES,
     ZXDiagram,
@@ -24,7 +33,7 @@ from nohidelab.zx import (
     plug_state,
 )
 
-from conftest import random_density
+from conftest import maximally_mixed, random_density, random_state
 from oracles import (
     embed_matrix,
     run_density_dense,
@@ -131,6 +140,52 @@ def test_fidelity_matches_two_eigensolve_oracle_bitwise(pair):
     a, b = pair
     assert fidelity(a, b) == two_eigensolve_fidelity(a, b)
     assert fidelity(b, a) == two_eigensolve_fidelity(b, a)
+
+
+# The shortcuts for pure states and for distances to I/d are checked against
+# the general density-matrix path, which stays their oracle.
+
+
+@st.composite
+def states_and_keeps(draw):
+    n = draw(st.integers(1, 5))
+    keep = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return random_state(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n), keep
+
+
+@PROPERTY
+@given(states_and_keeps())
+def test_pure_partial_trace_matches_density_path(case):
+    psi, keep = case
+    a = psi.amplitudes
+    want = partial_trace_matrix(np.outer(a, a.conj()), psi.num_qubits, keep)
+    assert np.abs(partial_trace(psi, keep).matrix - want).max() <= 1e-12
+
+
+@st.composite
+def low_rank_densities(draw, max_qubits):
+    n = draw(st.integers(1, max_qubits))
+    rank = draw(st.integers(1, 2 ** n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+    rho = f @ f.conj().T
+    return DensityMatrix(n, rho / np.trace(rho))
+
+
+@PROPERTY
+@given(low_rank_densities(2))
+def test_distances_to_mixed_match_general_metrics(rho):
+    mixed = maximally_mixed(rho.num_qubits)
+    t, f = distances_to_mixed(rho)
+    assert abs(t - trace_distance(rho, mixed)) <= 1e-12
+    assert abs(f - fidelity(rho, mixed)) <= 1e-12
+
+
+@PROPERTY
+@given(low_rank_densities(3), st.integers(0, 2 ** 32 - 1))
+def test_fidelity_to_pure_matches_uhlmann_fidelity(rho, seed):
+    psi = random_state(np.random.default_rng(seed), rho.num_qubits)
+    assert abs(fidelity_to_pure(rho, psi) - fidelity(rho, psi.to_density())) <= 1e-9
 
 
 @PROPERTY

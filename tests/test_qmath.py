@@ -7,6 +7,7 @@ from nohidelab import qmath
 from nohidelab.qmath import (
     DensityMatrix,
     StateVector,
+    distances_to_mixed,
     fidelity,
     hermitian_eig,
     kron,
@@ -16,7 +17,7 @@ from nohidelab.qmath import (
     trace_distance,
 )
 
-from conftest import random_density, random_hermitian, random_state
+from conftest import maximally_mixed, random_density, random_hermitian, random_state
 
 
 class TestKron:
@@ -97,7 +98,7 @@ class TestTraceDistance:
 
     def test_pure_vs_mixed_half(self):
         zero = StateVector.ket("0").to_density()
-        mixed = DensityMatrix.maximally_mixed(1)
+        mixed = maximally_mixed(1)
         assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self, rng):
@@ -112,7 +113,7 @@ class TestFidelity:
 
     def test_pure_vs_mixed_closed_form(self):
         zero = StateVector.ket("0").to_density()
-        mixed = DensityMatrix.maximally_mixed(1)
+        mixed = maximally_mixed(1)
         assert fidelity(zero, mixed) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_symmetric_in_arguments(self, rng):
@@ -141,13 +142,25 @@ class TestFidelity:
 def test_metrics_against_partially_bleached_states(rng):
     # mixing a pure state with I/2 at weight p sits at trace distance
     # (1-p)/2 and fidelity (sqrt(1-p/2)+sqrt(p/2))/sqrt(2) from I/2
-    mixed = DensityMatrix.maximally_mixed(1)
+    mixed = maximally_mixed(1)
     for p in (0.0, 0.3, 0.7, 1.0):
         psi = random_state(rng, 1)
         blended = DensityMatrix(1, (1 - p) * psi.to_density().matrix + p * mixed.matrix)
         assert trace_distance(blended, mixed) == pytest.approx((1 - p) / 2, abs=1e-10)
         expected_f = (math.sqrt(1 - p / 2) + math.sqrt(p / 2)) / math.sqrt(2)
         assert fidelity(blended, mixed) == pytest.approx(expected_f, abs=1e-10)
+        t, f = distances_to_mixed(blended)
+        assert t == pytest.approx((1 - p) / 2, abs=1e-10)
+        assert f == pytest.approx(expected_f, abs=1e-10)
+
+
+def test_fidelity_to_pure_is_the_overlap_amplitude():
+    zero = StateVector.ket("0").to_density()
+    for cos in (1.0, 0.6, 1e-3, 0.0):
+        psi = StateVector(1, [cos, math.sqrt(1 - cos ** 2)])
+        assert qmath.fidelity_to_pure(zero, psi) == pytest.approx(cos, abs=1e-12)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        qmath.fidelity_to_pure(zero, StateVector.ket("00"))
 
 
 def test_fuchs_van_de_graaf_sandwich(rng):
@@ -199,6 +212,20 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="duplicate"):
             partial_trace(rho, [0, 0])
 
+    def test_state_and_density_reject_bad_keep_lists_alike(self, rng):
+        psi = random_state(rng, 2)
+        for keep in ([2], [-1], [0, 0]):
+            with pytest.raises(ValueError) as from_state:
+                partial_trace(psi, keep)
+            with pytest.raises(ValueError) as from_density:
+                partial_trace(psi.to_density(), keep)
+            assert str(from_state.value) == str(from_density.value)
+
+    def test_pure_state_reduced_without_its_density_matrix(self, rng, eigh_calls):
+        partial_trace(random_state(rng, 3), [2, 0])
+        assert len(eigh_calls) == 1  # the reduced state's own validation
+        assert eigh_calls[0].shape == (4, 4)
+
     def test_matrix_variant_handles_nonphysical_input(self):
         # operator-level partial trace works on plain Pauli inputs too
         op = kron(qmath.PAULI_X, np.eye(2) / 2)
@@ -225,14 +252,14 @@ class TestStateTypes:
 
     def test_density_keeps_its_validation_spectrum_read_only(self, rng):
         rho = random_density(rng, 2)
-        w, v = rho._spectrum
+        w, v = rho.spectrum
         assert list(w) == sorted(w, reverse=True)
         assert np.abs(v @ np.diag(w) @ v.conj().T - rho.matrix).max() < 1e-12
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             v[0, 0] = 0.0
-        assert "_spectrum" not in repr(rho)
+        assert "spectrum" not in repr(rho)
 
     def test_predicates(self, rng):
         assert qmath.is_unitary(qmath.HADAMARD)
