@@ -242,24 +242,30 @@ def run_perfect(
 _IMPERFECT_SYSTEM_WIRE = 1
 
 
-def _imperfect_core_gates(p: float) -> tuple[Gate, ...]:
-    theta = 2.0 * math.asin(math.sqrt(p))
-    randomizer = build_randomizer("eq2")
+@functools.cache
+def _imperfect_tail_gates() -> tuple[Gate, ...]:
+    """The gates after the dilution u3, which do not depend on p: built and
+    validated once per process. The first three finish the dilation; then
+    come the decoder and the wire swaps for readout."""
     return (
-        Gate("u3", (2,), (theta, 0.0, 0.0)),
         Gate("ch", (2, 1)),
         Gate("ch", (2, 3)),
-        Gate("unitary", (0, 1, 3), matrix=randomizer.matrix),
+        Gate("unitary", (0, 1, 3), matrix=build_randomizer("eq2").matrix),
+        Gate("cx", (1, 3)), Gate("h", (1,)), Gate("cx", (1, 3)),
+        Gate("swap", (0, 1)), Gate("swap", (0, 2)),
     )
+
+
+def _imperfect_core_gates(p: float) -> tuple[Gate, ...]:
+    theta = 2.0 * math.asin(math.sqrt(p))
+    return (Gate("u3", (2,), (theta, 0.0, 0.0)),) + _imperfect_tail_gates()[:3]
 
 
 def build_imperfect_circuit(p: float) -> Circuit:
     """Partial bleaching at weight p, decode, and wire swaps for readout."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"bleaching weight p={p!r} outside [0, 1]")
-    decoder = (Gate("cx", (1, 3)), Gate("h", (1,)), Gate("cx", (1, 3)))
-    swaps = (Gate("swap", (0, 1)), Gate("swap", (0, 2)))
-    return Circuit(4, _imperfect_core_gates(p) + decoder + swaps)
+    return Circuit(4, _imperfect_core_gates(p) + _imperfect_tail_gates()[3:])
 
 
 def imperfect_channel_images(p: float) -> dict[str, np.ndarray]:

@@ -78,6 +78,14 @@ def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np
     return w[::-1], v[:, ::-1]
 
 
+def read_only_eig(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eig` with both arrays read-only, for a frozen object to keep."""
+    w, v = hermitian_eig(m, tol)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
 def proportionality(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> complex | None:
     """Scalar s with a = s*b within tol (relative), or None if no such s."""
     a = np.asarray(a, dtype=complex).ravel()
@@ -160,16 +168,12 @@ class DensityMatrix:
         dim = 2 ** self.num_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-        if not is_hermitian(m, ATOL):
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        w, v = read_only_eig(m, tol=ATOL)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond tolerance")
-        w, v = hermitian_eig(m)
         if float(w.min()) < -EIG_CLAMP:
             raise ValueError(f"density matrix has negative eigenvalue {float(w.min()):.3e}")
-        w.flags.writeable = False
-        v.flags.writeable = False
         object.__setattr__(self, "spectrum", (w, v))
 
     def purity(self) -> float:

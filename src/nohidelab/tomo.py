@@ -22,9 +22,9 @@ from .qmath import (
     DensityMatrix,
     StateVector,
     fidelity,
-    hermitian_eig,
     kron,
     partial_trace,
+    read_only_eig,
     trace_distance,
 )
 
@@ -167,13 +167,11 @@ class TomogramRaw:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        w, v = hermitian_eig(m, tol=1e-9)
+        spectrum = read_only_eig(m, tol=1e-9)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"raw tomogram trace {tr!r} differs from 1")
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "spectrum", (w, v))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def min_eigenvalue(self) -> float:

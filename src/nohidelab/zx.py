@@ -22,7 +22,9 @@ exact for spiders under the normalization above.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -387,84 +389,103 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rule matching
 
+# Node ids per location; an S1 split is ("unfuse", node, detach, (re, im)).
+_ARITY = {"S1": 2, "S2": 1, "C": 1, "B2": 4, "HH": 2}
+# The kinds an HH or S1 pair may have; both of its nodes share one.
+_PAIR_KINDS = {"HH": ("H",), "S1": SPIDER_KINDS}
+
+
+def _mismatch(d: ZXDiagram, rule: str, loc: tuple) -> str | None:
+    """Why `loc` is not an occurrence of `rule`'s left-hand side in `d`, or None.
+
+    The one definition of each pattern: match_rule keeps the candidates it
+    passes and apply_rule refuses the locations it fails. Replayed locations
+    are outside input, so their shape is checked before any lookup.
+    """
+    if rule == "S1" and loc[:1] == ("unfuse",):
+        if len(loc) != 4:
+            return f"a split takes (\"unfuse\", node, detach, (re, im)), got {loc!r}"
+        _, nid, detach, phase_pair = loc
+        if reason := _mismatch(d, "C", (nid,)):  # C's left-hand side: any spider
+            return reason
+        if not isinstance(detach, (tuple, list)):
+            return f"detach list {detach!r} is not a sequence"
+        for x in detach:
+            if not d.edge_count(nid, x):
+                return f"node {nid} has no edge to {x!r}"
+        if len(set(detach)) != len(detach):
+            return f"detach list {detach!r} repeats a neighbour"
+        if not (isinstance(phase_pair, (tuple, list)) and len(phase_pair) == 2
+                and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in phase_pair)):
+            return f"phase {phase_pair!r} is not a pair of finite numbers"
+        return None
+    if len(loc) != _ARITY[rule]:
+        return f"{rule} needs {_ARITY[rule]}-node locations, got {loc!r}"
+    try:
+        nodes = [d.nodes[x] for x in loc]
+    except (KeyError, TypeError):  # absent, or unhashable and so no node id
+        return f"missing node in {loc!r}"
+    if rule in _PAIR_KINDS:
+        if nodes[0].kind not in _PAIR_KINDS[rule] or nodes[1].kind != nodes[0].kind:
+            return f"{loc} are not {'H boxes' if rule == 'HH' else 'same-colour spiders'}"
+        if not d.edge_count(*loc):
+            return f"{loc} are not adjacent"
+    elif rule in ("S2", "C"):
+        (nid,), (node,) = loc, nodes
+        if node.kind not in SPIDER_KINDS:
+            return f"node {nid} is not a spider"
+        if rule == "S2" and (not _phase_is_zero(node.phase) or d.degree(nid) != 2):
+            return f"spider {nid} is not a zero-phase spider of degree 2"
+    else:  # B2
+        for nid, node, kind in zip(loc, nodes, "ZZXX"):
+            if node.kind != kind or not _phase_is_zero(node.phase) or d.degree(nid) != 3:
+                return f"node {nid} is not a zero-phase {kind} spider of degree 3"
+        z1, z2, x1, x2 = loc
+        if z1 == z2 or x1 == x2 or d.edge_count(z1, z2) or d.edge_count(x1, x2):
+            return f"same-colour corners of {loc} coincide or touch"
+        if not all(d.edge_count(z, x) == 1 for z in (z1, z2) for x in (x1, x2)):
+            return "nodes do not form a complete bipartite square"
+    return None
+
+
 def match_rule(d: ZXDiagram, rule: str) -> list[tuple]:
-    """All left-hand-side occurrences of a rule, ordered by node id."""
-    if rule == "HH":
-        locs = {
-            (a, b) for a, b in d.edges
-            if d.nodes[a].kind == "H" and d.nodes[b].kind == "H"
-        }
-        return sorted(locs)
-    if rule == "S2":
-        return sorted(
-            (nid,) for nid, node in d.nodes.items()
-            if node.kind in SPIDER_KINDS and _phase_is_zero(node.phase)
-            and d.degree(nid) == 2
-        )
-    if rule == "S1":
-        locs = {
-            (a, b) for a, b in d.edges
-            if d.nodes[a].kind in SPIDER_KINDS and d.nodes[a].kind == d.nodes[b].kind
-        }
-        return sorted(locs)
-    if rule == "C":
-        return [(nid,) for nid in d.spiders()]
-    if rule == "B2":
-        zs = [n for n in d.spiders()
-              if d.nodes[n].kind == "Z" and _phase_is_zero(d.nodes[n].phase)
-              and d.degree(n) == 3]
-        xs = [n for n in d.spiders()
-              if d.nodes[n].kind == "X" and _phase_is_zero(d.nodes[n].phase)
-              and d.degree(n) == 3]
-        locs = []
-        for i, z1 in enumerate(zs):
-            for z2 in zs[i + 1:]:
-                if d.edge_count(z1, z2):
-                    continue
-                for j, x1 in enumerate(xs):
-                    for x2 in xs[j + 1:]:
-                        if d.edge_count(x1, x2):
-                            continue
-                        if all(d.edge_count(z, x) == 1 for z in (z1, z2) for x in (x1, x2)):
-                            locs.append((z1, z2, x1, x2))
-        return sorted(locs)
-    raise ValueError(f"unknown rule {rule!r}")
+    """All left-hand-side occurrences of a rule, ordered by node id: cheap
+    kind (and degree) filters pick the candidates, and `_mismatch` decides."""
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    if rule in _PAIR_KINDS:
+        kinds = _PAIR_KINDS[rule]
+        # edges are sorted, so a multi-edge's copies are adjacent
+        candidates = [(a, b) for i, (a, b) in enumerate(d.edges)
+                      if d.nodes[a].kind in kinds and d.nodes[b].kind == d.nodes[a].kind
+                      and (i == 0 or d.edges[i - 1] != (a, b))]
+    elif rule == "B2":
+        zs, xs = ([n for n in d.spiders() if d.nodes[n].kind == kind and d.degree(n) == 3]
+                  for kind in SPIDER_KINDS)
+        candidates = [z + x for z, x in itertools.product(itertools.combinations(zs, 2),
+                                                          itertools.combinations(xs, 2))]
+    else:
+        candidates = [(nid,) for nid in d.spiders() if rule == "C" or d.degree(nid) == 2]
+    return [loc for loc in candidates if _mismatch(d, rule, loc) is None]
 
 
 # ---------------------------------------------------------------------------
-# rule application
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise RuleApplicationError(f"pattern mismatch at location: {msg}")
-
+# rule application: graph surgery only, on a location _mismatch has passed
 
 def _apply_hh(d: ZXDiagram, loc) -> ZXDiagram:
     a, b = loc
-    _require(a in d.nodes and b in d.nodes, f"missing node in {loc}")
-    _require(d.nodes[a].kind == "H" and d.nodes[b].kind == "H", f"{loc} are not H boxes")
-    between = d.edge_count(a, b)
-    _require(between >= 1, f"H boxes {loc} are not adjacent")
+    # no outer legs: a doubly linked pair is a closed loop, which cancels
+    outer = [n for n in d.neighbors(a) + d.neighbors(b) if n not in loc]
     b_ = _Builder(d)
-    if between == 2:
-        b_.remove_node(a)
-        b_.remove_node(b)
-        return b_.build()
-    outer_a = next(n for n in d.neighbors(a) if n != b)
-    outer_b = next(n for n in d.neighbors(b) if n != a)
     b_.remove_node(a)
     b_.remove_node(b)
-    b_.add_edge(outer_a, outer_b)
+    if outer:
+        b_.add_edge(*outer)
     return b_.build()
 
 
 def _apply_s2(d: ZXDiagram, loc) -> ZXDiagram:
     (nid,) = loc
-    _require(nid in d.nodes, f"missing node {nid}")
-    node = d.nodes[nid]
-    _require(node.kind in SPIDER_KINDS, f"node {nid} is not a spider")
-    _require(_phase_is_zero(node.phase), f"spider {nid} has nonzero phase")
-    _require(d.degree(nid) == 2, f"spider {nid} does not have degree 2")
     u, w = d.neighbors(nid)
     if u == w and d.nodes[u].kind == "H":
         raise RuleApplicationError("removal would close a zero-scalar loop through an H box")
@@ -475,12 +496,10 @@ def _apply_s2(d: ZXDiagram, loc) -> ZXDiagram:
 
 
 def _apply_s1(d: ZXDiagram, loc) -> ZXDiagram:
+    if loc[0] == "unfuse":
+        return _apply_unfuse(d, *loc[1:])
     a, b = loc
-    _require(a in d.nodes and b in d.nodes and a != b, f"bad fusion pair {loc}")
     na, nb = d.nodes[a], d.nodes[b]
-    _require(na.kind in SPIDER_KINDS and na.kind == nb.kind,
-             f"{loc} are not same-colour spiders")
-    _require(d.edge_count(a, b) >= 1, f"spiders {loc} are not adjacent")
     b_ = _Builder(d)
     others = b_.remove_node_edges(b)
     del b_.nodes[b]
@@ -491,16 +510,12 @@ def _apply_s1(d: ZXDiagram, loc) -> ZXDiagram:
     return b_.build()
 
 
-def _apply_unfuse(d: ZXDiagram, loc) -> ZXDiagram:
-    _, nid, detach_neighbors, phase_pair = loc
-    _require(nid in d.nodes, f"missing node {nid}")
+def _apply_unfuse(d: ZXDiagram, nid: int, detach_neighbors, phase_pair) -> ZXDiagram:
     node = d.nodes[nid]
-    _require(node.kind in SPIDER_KINDS, f"node {nid} is not a spider")
     detached_phase = complex(phase_pair[0], phase_pair[1])
     b_ = _Builder(d)
     new = b_.add_node(node.kind, _norm_phase(detached_phase))
     for x in detach_neighbors:
-        _require(d.edge_count(nid, x) >= 1, f"node {nid} has no edge to {x}")
         b_.remove_edge(nid, x)
         b_.add_edge(new, x)
     b_.add_edge(nid, new)
@@ -510,14 +525,10 @@ def _apply_unfuse(d: ZXDiagram, loc) -> ZXDiagram:
 
 def _apply_c(d: ZXDiagram, loc) -> ZXDiagram:
     (nid,) = loc
-    _require(nid in d.nodes, f"missing node {nid}")
     node = d.nodes[nid]
-    _require(node.kind in SPIDER_KINDS, f"node {nid} is not a spider")
     b_ = _Builder(d)
-    flipped = "X" if node.kind == "Z" else "Z"
-    b_.nodes[nid] = ZXNode(flipped, node.phase)
-    others = b_.remove_node_edges(nid)
-    for x in others:
+    b_.nodes[nid] = ZXNode("X" if node.kind == "Z" else "Z", node.phase)
+    for x in b_.remove_node_edges(nid):
         h = b_.add_node("H")
         b_.add_edge(nid, h)
         b_.add_edge(h, x)
@@ -526,32 +537,19 @@ def _apply_c(d: ZXDiagram, loc) -> ZXDiagram:
 
 def _apply_b2(d: ZXDiagram, loc) -> ZXDiagram:
     z1, z2, x1, x2 = loc
-    for nid, kind in ((z1, "Z"), (z2, "Z"), (x1, "X"), (x2, "X")):
-        _require(nid in d.nodes, f"missing node {nid}")
-        _require(d.nodes[nid].kind == kind, f"node {nid} is not a {kind} spider")
-        _require(_phase_is_zero(d.nodes[nid].phase), f"node {nid} has nonzero phase")
-        _require(d.degree(nid) == 3, f"node {nid} does not have degree 3")
-    _require(all(d.edge_count(z, x) == 1 for z in (z1, z2) for x in (x1, x2)),
-             "nodes do not form a complete bipartite square")
-    _require(d.edge_count(z1, z2) == 0 and d.edge_count(x1, x2) == 0,
-             "same-colour nodes of the square must not touch")
-    pattern = {z1, z2, x1, x2}
-    ext = {}
-    for nid in loc:
-        outside = [m for m in d.neighbors(nid) if m not in pattern]
-        _require(len(outside) == 1, f"node {nid} lacks a unique external leg")
-        ext[nid] = outside[0]
+    # each corner has degree 3 and two legs inside the square
+    ext = {nid: next(m for m in d.neighbors(nid) if m not in loc) for nid in loc}
     b_ = _Builder(d)
     for nid in loc:
         b_.remove_node(nid)
-    nx = b_.add_node("X")
-    nz = b_.add_node("Z")
-    b_.add_edge(nx, ext[z1])
-    b_.add_edge(nx, ext[z2])
-    b_.add_edge(nz, ext[x1])
-    b_.add_edge(nz, ext[x2])
+    nx, nz = b_.add_node("X"), b_.add_node("Z")
+    for new, corner in ((nx, z1), (nx, z2), (nz, x1), (nz, x2)):
+        b_.add_edge(new, ext[corner])
     b_.add_edge(nx, nz)
     return b_.build()
+
+
+_APPLY = dict(zip(RULES, (_apply_s1, _apply_s2, _apply_c, _apply_b2, _apply_hh)))
 
 
 def apply_rule(d: ZXDiagram, rule: str, location) -> ZXDiagram:
@@ -560,20 +558,12 @@ def apply_rule(d: ZXDiagram, rule: str, location) -> ZXDiagram:
     S1 accepts either a fusion pair (a, b) or a reverse (splitting) location
     ("unfuse", node, detach_neighbors, (phase_re, phase_im)).
     """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     location = tuple(location)
-    if rule == "HH":
-        return _apply_hh(d, location)
-    if rule == "S2":
-        return _apply_s2(d, location)
-    if rule == "S1":
-        if location and location[0] == "unfuse":
-            return _apply_unfuse(d, location)
-        return _apply_s1(d, location)
-    if rule == "C":
-        return _apply_c(d, location)
-    if rule == "B2":
-        return _apply_b2(d, location)
-    raise ValueError(f"unknown rule {rule!r}")
+    if reason := _mismatch(d, rule, location):
+        raise RuleApplicationError(f"pattern mismatch at location: {reason}")
+    return _APPLY[rule](d, location)
 
 
 @dataclass(frozen=True)

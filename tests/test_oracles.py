@@ -1,4 +1,6 @@
 """Property tests of the numpy kernels, against the kernels they replaced where kept."""
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +26,14 @@ from nohidelab.qmath import (
 )
 from nohidelab.zx import (
     TRANSLATABLE_GATES,
+    RuleApplicationError,
     ZXDiagram,
     ZXNode,
     _canonical_order,
     apply_rule,
     circuit_to_zx,
     evaluate,
+    match_rule,
     plug_state,
 )
 
@@ -41,6 +45,7 @@ from oracles import (
     tensordot_evaluate,
     two_eigensolve_fidelity,
 )
+from test_zx import planted_b2_diagram
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -231,3 +236,48 @@ def test_canonical_order_matches_string_oracle(d):
     # Integer ranks follow the order of the label strings they replace, so
     # both refinements find the same classes and the BFS visits alike.
     assert _canonical_order(d) == string_canonical_order(d)
+
+
+@st.composite
+def rewrite_sites(draw):
+    # Recoloured circuits carry HH, S1 and C sites, and a zero-phase split of
+    # a spider off one of its legs an S2 site; B2 needs a planted square.
+    if draw(st.booleans()):
+        return planted_b2_diagram(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    d = draw(recoloured_diagrams())
+    if d.spiders() and draw(st.booleans()):
+        nid = draw(st.sampled_from(d.spiders()))
+        d = apply_rule(d, "S1", ("unfuse", nid, tuple(d.neighbors(nid)[:1]), (0.0, 0.0)))
+    return d
+
+
+def _refused(d, rule, location) -> bool:
+    try:
+        apply_rule(d, rule, location)
+    except RuleApplicationError as exc:
+        return "pattern mismatch" in str(exc)
+    return False
+
+
+@PROPERTY
+@given(rewrite_sites())
+def test_apply_rule_refuses_exactly_what_match_rule_omits(d):
+    ids = sorted(d.nodes) + [max(d.nodes) + 1]
+    for rule in ("HH", "S1"):
+        matches = set(match_rule(d, rule))
+        for a, b in itertools.product(ids, repeat=2):
+            assert _refused(d, rule, (a, b)) == ((min(a, b), max(a, b)) not in matches)
+    for rule in ("S2", "C"):
+        matches = set(match_rule(d, rule))
+        for nid in ids:
+            assert _refused(d, rule, (nid,)) == ((nid,) not in matches)
+    # B2 is checked at its matches, with the colours swapped and one corner replaced.
+    matches = set(match_rule(d, "B2"))
+    for z1, z2, x1, x2 in matches:
+        apply_rule(d, "B2", (z1, z2, x1, x2))
+        assert _refused(d, "B2", (x1, x2, z1, z2))
+        for i, nid in itertools.product(range(4), ids):
+            loc = [z1, z2, x1, x2]
+            loc[i] = nid
+            normal = tuple(sorted(loc[:2]) + sorted(loc[2:]))
+            assert _refused(d, "B2", tuple(loc)) == (normal not in matches)

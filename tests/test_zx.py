@@ -325,10 +325,17 @@ class TestApplyRule:
         d = circuit_to_zx(Circuit(2, (Gate("cx", (0, 1)),)))
         z = next(n for n, nd in d.nodes.items() if nd.kind == "Z")
         x = next(n for n, nd in d.nodes.items() if nd.kind == "X")
+        out = next(n for n in d.neighbors(z) if n in d.outputs)
         locations = [
             ("HH", (98, 99)), ("S2", (99,)), ("S1", (z, 99)), ("C", (99,)),
             ("B2", (z, 99, x, 98)), ("S1", ("unfuse", 99, (), (0.0, 0.0))),
             ("S1", ("unfuse", z, (99,), (0.0, 0.0))),
+            # malformed shapes, as a hand-edited trace may carry them
+            ("S1", ("unfuse", z, (out, out), (0.0, 0.0))), ("HH", (1,)), ("C", ()),
+            ("S2", (z, x)), ("B2", (z, x)), ("S1", ("unfuse", z)),
+            ("S1", ("unfuse", z, (out,), (0.0,))), ("S1", ("unfuse", z, out, (0.0, 0.0))),
+            ("S1", ("unfuse", z, (out,), ("0", 0.0))),
+            ("S1", ("unfuse", z, (out,), (math.inf, 0.0))), ("C", ({},)),
         ]
         for rule, location in locations:
             with pytest.raises(RuleApplicationError, match="pattern mismatch"):
