@@ -110,8 +110,9 @@ def _shots_field(shots: int | None):
     return "exact" if shots is None else shots
 
 
-def _state_pairs(amps) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in amps]
+def _state_rows(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes as an (N, 2) float view of (re, im) rows, a jsonio leaf."""
+    return np.ascontiguousarray(amps).view(np.float64).reshape(-1, 2)
 
 
 def cmd_perfect(args) -> int:
@@ -121,7 +122,7 @@ def cmd_perfect(args) -> int:
         "variant": args.variant,
         "shots": _shots_field(args.shots),
         "seed": args.seed,
-        "input_state": {"amplitudes": _state_pairs(result.input_state.amplitudes)},
+        "input_state": {"amplitudes": _state_rows(result.input_state.amplitudes)},
         "bell": {
             "qubits": list(result.bell_pair),
             "fidelity_exact": result.bell_fidelity,
@@ -203,7 +204,7 @@ def cmd_simulate(args) -> int:
     payload = {
         "command": "simulate",
         "num_qubits": circuit.num_qubits,
-        "amplitudes": _state_pairs(state.amplitudes),
+        "amplitudes": _state_rows(state.amplitudes),
     }
     _emit(json_text(payload), args.out)
     return EXIT_OK

@@ -1,7 +1,9 @@
 """Deterministic JSON/CSV text output with atomic file writes.
 
 Every float is rendered with 17 significant digits so serialized doubles
-round-trip exactly and repeated runs produce byte-identical files.
+round-trip exactly and repeated runs produce byte-identical files. A 2-D
+float64 ndarray is a leaf: it renders exactly as its .tolist() would, in
+batches of rows, without a Python list per row.
 """
 from __future__ import annotations
 
@@ -11,6 +13,12 @@ import os
 import tempfile
 from collections.abc import Mapping, Sequence
 from pathlib import Path
+
+import numpy as np
+
+# Rows of an array leaf formatted at once: bounds the Python floats and
+# strings alive together, whatever the array's length.
+ROWS_PER_BATCH = 8192
 
 
 def format_float(x: float) -> str:
@@ -43,7 +51,32 @@ def _render(value, indent: int) -> str:
         return json.dumps(value)
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64:
+        return _render_rows(value, indent)
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _render_rows(value: np.ndarray, indent: int) -> str:
+    """The text _render gives value.tolist(), built ROWS_PER_BATCH rows at a time."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite float {float(value[~finite][0])!r}")
+    if not len(value):
+        return "[]"
+    outer = "\n" + "  " * (indent + 1)
+    inner = outer + "  "
+    slots = ("," + inner).join(["%s"] * value.shape[1])
+    row = "[" + inner + slots + outer + "]" if slots else "[]"
+    batches = []
+    for start in range(0, len(value), ROWS_PER_BATCH):
+        block = value[start:start + ROWS_PER_BATCH]
+        cells = [format(x, ".17g") for x in block.ravel().tolist()]
+        # format_float's ".0" suffix: integral values below 1e17 in magnitude
+        # are exactly those .17g prints with neither "." nor "e".
+        for i in np.flatnonzero((block == np.floor(block)) & (np.abs(block) < 1e17)).tolist():
+            cells[i] += ".0"
+        batches.append(("," + outer).join([row] * len(block)) % tuple(cells))
+    return "[" + outer + ("," + outer).join(batches) + outer[:-2] + "]"
 
 
 def json_text(value) -> str:

@@ -111,10 +111,10 @@ class ZXDiagram:
             elif node.kind not in SPIDER_KINDS:
                 raise ValueError(f"unknown node kind {node.kind!r}")
         for nid in self.inputs:
-            if self.nodes[nid].kind != "in":
+            if nid not in self.nodes or self.nodes[nid].kind != "in":
                 raise ValueError(f"input {nid} is not an 'in' node")
         for nid in self.outputs:
-            if self.nodes[nid].kind != "out":
+            if nid not in self.nodes or self.nodes[nid].kind != "out":
                 raise ValueError(f"output {nid} is not an 'out' node")
 
     # A node id absent from the diagram has no neighbours, so rule matchers
@@ -881,12 +881,6 @@ def _phase_to_json(phase: complex):
     return [float(phase.real), float(phase.imag)]
 
 
-def _phase_from_json(value) -> complex:
-    if isinstance(value, list):
-        return complex(value[0], value[1])
-    return complex(float(value), 0.0)
-
-
 def diagram_to_json_dict(d: ZXDiagram) -> dict:
     return {
         "nodes": [
@@ -899,25 +893,77 @@ def diagram_to_json_dict(d: ZXDiagram) -> dict:
     }
 
 
+def _json_field(obj, key: str, where: str, valid, what: str, default=None):
+    """obj[key] of a parsed JSON object, else a ValueError naming `where` and
+    the field: obj is not a dict, the field is missing or null and has no
+    default, or its value fails `valid`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {obj!r}")
+    value = obj.get(key, default)
+    if value is None:
+        raise ValueError(f"{where}: field {key!r} is missing or null")
+    if not valid(value):
+        raise ValueError(f"{where}: field {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
+def _is_list(x) -> bool:
+    return isinstance(x, list)
+
+
+def _is_ids(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, int) for v in x)
+
+
+def _is_phase(x) -> bool:
+    return _is_real(x) or isinstance(x, list) and len(x) == 2 and all(map(_is_real, x))
+
+
 def diagram_from_json_dict(obj: dict) -> ZXDiagram:
-    nodes = {
-        int(n["id"]): ZXNode(n["kind"], _phase_from_json(n.get("phase", 0.0)))
-        for n in obj["nodes"]
-    }
-    edges = tuple((int(a), int(b)) for a, b in obj["edges"])
-    return ZXDiagram(nodes, edges, tuple(obj["inputs"]), tuple(obj["outputs"]))
+    """Inverse of diagram_to_json_dict. Malformed input raises ValueError
+    naming the node, edge or field; ZXDiagram then checks the graph itself."""
+    nodes: dict[int, ZXNode] = {}
+    for i, n in enumerate(_json_field(obj, "nodes", "diagram", _is_list, "a list")):
+        where = f"node {i}"
+        nid = _json_field(n, "id", where, lambda v: isinstance(v, int), "an integer")
+        if nid in nodes:
+            raise ValueError(f"{where}: duplicate id {nid}")
+        kind = _json_field(n, "kind", where, lambda v: isinstance(v, str), "a string")
+        phase = _json_field(n, "phase", where, _is_phase, "a real number or [re, im]", 0.0)
+        nodes[nid] = ZXNode(kind, complex(*phase) if isinstance(phase, list) else complex(phase))
+    edges = _json_field(obj, "edges", "diagram", _is_list, "a list")
+    for i, edge in enumerate(edges):
+        if not (_is_ids(edge) and len(edge) == 2):
+            raise ValueError(f"diagram: edge {i} must be [id, id], got {edge!r}")
+    inputs, outputs = (_json_field(obj, key, "diagram", _is_ids, "a list of node ids")
+                       for key in ("inputs", "outputs"))
+    return ZXDiagram(nodes, tuple(map(tuple, edges)), tuple(inputs), tuple(outputs))
 
 
 def steps_to_json_list(steps: Sequence[RewriteStep]) -> list[dict]:
     return [s.to_json_dict() for s in steps]
 
 
-def steps_from_json_list(items: Sequence[dict]) -> list[RewriteStep]:
-    return [
-        RewriteStep(
-            rule=item["rule"],
-            location=_location_from_json(item["location"]),
-            scalar_check=complex(item["scalar_re"], item["scalar_im"]),
-        )
-        for item in items
-    ]
+def steps_from_json_list(items: list[dict]) -> list[RewriteStep]:
+    """Inverse of steps_to_json_list. A malformed step raises ValueError
+    naming its index and field; whether its location matches the diagram is
+    apply_rule's question, asked at replay."""
+    if not _is_list(items):
+        raise ValueError(f"steps: expected a list, got {items!r}")
+    steps = []
+    for i, item in enumerate(items):
+        where = f"step {i}"
+        rule = _json_field(item, "rule", where, lambda v: v in RULES, f"one of {RULES}")
+        location = _json_field(item, "location", where, _is_list, "a list")
+        re_part, im_part = (_json_field(item, key, where, _is_real, "a finite real number")
+                            for key in ("scalar_re", "scalar_im"))
+        try:
+            steps.append(RewriteStep(rule, _location_from_json(location),
+                                     complex(re_part, im_part)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return steps

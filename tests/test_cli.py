@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,22 @@ class TestSimulate:
         assert code == 2
         assert f"cannot read circuit file {path}: 'utf-8' codec can't decode" in err
         assert not out.exists()
+
+    def test_memory_peak_is_a_small_multiple_of_the_state(self, tmp_path, capsys):
+        # The amplitudes reach jsonio as one (2^n, 2) float view, so the peak
+        # is set by the output text, not by a Python object per amplitude.
+        path = tmp_path / "q16.circ"
+        path.write_text("qubits 16\nh 0\nu3 0.3 1.1 -0.7 1\ncx 0 15\nt 15\nh 8\n")
+        args = ["simulate", str(path), "--out", str(tmp_path / "q16.json")]
+        assert main(args) == 0  # warm-up: imports, parser, first-call caches
+        tracemalloc.start()
+        try:
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 10 * 16 * 2 ** 16
 
 
 @pytest.mark.parametrize("argv, eigensolves", [

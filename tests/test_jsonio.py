@@ -2,12 +2,28 @@ import json
 import math
 import os
 import stat
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from nohidelab.jsonio import csv_text, format_float, json_text, write_text_atomic
+from nohidelab.jsonio import (
+    ROWS_PER_BATCH,
+    csv_text,
+    format_float,
+    json_text,
+    write_text_atomic,
+)
+
+# Where ".17g" text and the ".0" suffix rule change shape: signed zeros,
+# integral values around 2**53 and the 1e17 switch to exponent form,
+# subnormals, the float extremes and the 1e-5 switch to exponent form.
+EDGE_FLOATS = [0.0, -0.0, 1.0, -7.0, 2.0 ** 53 - 1, 2.0 ** 53 + 1, 1e16, 1e17, -1e17,
+               9.999999999999998e16, 5e-324, -2.2250738585072e-309,
+               sys.float_info.max, -sys.float_info.max, 1e-5]
 
 
 class TestFormatFloat:
@@ -23,6 +39,8 @@ class TestFormatFloat:
             json_text({"a": bad})
         with pytest.raises(ValueError, match="non-finite"):
             csv_text(["a"], [[bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            json_text({"a": np.array([[0.5, 1.0], [2.0, bad]])})
 
     def test_integral_floats_keep_a_point(self):
         assert format_float(1.0) == "1.0"
@@ -79,6 +97,41 @@ class TestJsonText:
             '  "b": false\n'
             '}\n'
         )
+
+
+class TestArrayLeaf:
+    """A 2-D float64 array renders as its .tolist() does through the list path."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 40), st.integers(0, 3)),
+        elements=st.sampled_from(EDGE_FLOATS)
+        | st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    def test_matches_list_path(self, arr):
+        assert json_text({"a": arr}) == json_text({"a": arr.tolist()})
+        assert json_text(arr) == json_text(arr.tolist())
+
+    def test_join_across_batches_golden(self):
+        rng = np.random.default_rng(5)
+        arr = rng.standard_normal((ROWS_PER_BATCH + 1, 2))
+        arr[::7] = np.round(arr[::7] * 1e3)
+        arr[:, 1][::5] = -0.0
+        text = json_text({"a": arr})
+        assert text == json_text({"a": arr.tolist()})
+        assert np.array_equal(np.array(json.loads(text)["a"]), arr)
+
+    def test_strided_view_renders_its_values(self):
+        arr = np.arange(12.0).reshape(4, 3)[::2, ::-1]
+        assert json_text({"a": arr}) == json_text({"a": arr.tolist()})
+
+    @pytest.mark.parametrize("arr", [np.zeros(3), np.zeros((1, 1, 1)),
+                                     np.zeros((2, 2), dtype=complex)],
+                             ids=["1-D", "3-D", "complex"])
+    def test_other_arrays_are_unknown_types(self, arr):
+        with pytest.raises(TypeError, match="ndarray"):
+            json_text({"a": arr})
 
 
 def test_csv_text_layout():

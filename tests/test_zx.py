@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -558,6 +559,40 @@ class TestSerialization:
         replayed = replay_trace(result.initial, steps)
         assert replayed.nodes == result.final.nodes
         assert replayed.edges == result.final.edges
+
+    @pytest.mark.parametrize("item, message", [
+        ({"rule": "S1", "location": 5, "scalar_re": 1.0, "scalar_im": 0.0},
+         "step 0: field 'location' must be a list"),
+        ({"rule": "S1", "location": [1, 2], "scalar_im": 0.0},
+         "step 0: field 'scalar_re' is missing"),
+        ({"rule": "S9", "location": [1, 2], "scalar_re": 1.0, "scalar_im": 0.0},
+         "step 0: field 'rule' must be one of"),
+        ({"rule": "S2", "location": [1], "scalar_re": "1", "scalar_im": 0.0},
+         "step 0: field 'scalar_re' must be a finite real number"),
+        ({"rule": "S2", "location": [1], "scalar_re": 0.0, "scalar_im": 0.0},
+         "step 0: rewrite scalar must be nonzero"),
+        (["S2", [1], 1.0, 0.0], "step 0: expected an object"),
+    ])
+    def test_malformed_step_names_index_and_field(self, item, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            steps_from_json_list([item])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["nodes"][2].update(phase=[1.0]), "node 2: field 'phase' must be"),
+        (lambda obj: obj["nodes"][1].update(phase="0"), "node 1: field 'phase' must be"),
+        (lambda obj: obj["nodes"][0].pop("kind"), "node 0: field 'kind' is missing"),
+        (lambda obj: obj["nodes"][3].update(id="3"), "node 3: field 'id' must be an integer"),
+        (lambda obj: obj["nodes"].append(dict(obj["nodes"][0])), "duplicate id"),
+        (lambda obj: obj["edges"].append([0]), "edge 5 must be [id, id]"),
+        (lambda obj: obj.update(inputs=[0, "1"]), "field 'inputs' must be a list of node ids"),
+        (lambda obj: obj["outputs"].append(99), "output 99 is not an 'out' node"),
+        (lambda obj: obj.pop("edges"), "field 'edges' is missing"),
+    ])
+    def test_malformed_diagram_names_node_and_field(self, edit, message):
+        obj = diagram_to_json_dict(circuit_to_zx(Circuit(2, (Gate("cx", (0, 1)),))))
+        edit(obj)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            diagram_from_json_dict(obj)
 
     def test_step_serialization_schema(self):
         result = run_scripted_derivation()
