@@ -25,8 +25,9 @@ import cmath
 import itertools
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -259,33 +260,29 @@ def plug_state(d: ZXDiagram, input_position: int, kind: str = "X",
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _rank(keys: dict) -> dict[int, int]:
+def _rank(keys: dict) -> tuple[dict[int, int], int]:
     index = {key: r for r, key in enumerate(sorted(set(keys.values())))}
-    return {nid: index[key] for nid, key in keys.items()}
+    return {nid: index[key] for nid, key in keys.items()}, len(index)
 
 
 def _canonical_order(d: ZXDiagram) -> list[int]:
     # Refined labels make the order a function of the graph alone (not of
     # node ids), so relabeled diagrams contract identically bit for bit.
     # Colour refinement on integer ranks: each round ranks (own label,
-    # sorted neighbour labels) until the number of classes stops growing.
-    seeds = {}
+    # sorted neighbour labels) until the number of classes stops growing,
+    # which it cannot once every node is a class of its own.
+    seeds = {nid: f"in{i}" for i, nid in enumerate(d.inputs)}
+    seeds.update((nid, f"out{i}") for i, nid in enumerate(d.outputs))
     for nid, node in d.nodes.items():
-        if nid in d.inputs:
-            seeds[nid] = f"in{d.inputs.index(nid)}"
-        elif nid in d.outputs:
-            seeds[nid] = f"out{d.outputs.index(nid)}"
-        else:
-            phase = node.phase
-            seeds[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
-    labels = _rank(seeds)
-    for _ in range(len(d.nodes)):
-        refined = _rank({nid: (label, tuple(sorted(labels[m] for m in d._adj[nid])))
-                         for nid, label in labels.items()})
-        stable = len(set(refined.values())) == len(set(labels.values()))
-        labels = refined
-        if stable:
+        if nid not in seeds:
+            seeds[nid] = f"{node.kind}:{node.phase.real:.9e}:{node.phase.imag:.9e}"
+    labels, classes = _rank(seeds)
+    while classes < len(labels):
+        labels, grown = _rank({nid: (label, tuple(sorted(labels[m] for m in d._adj[nid])))
+                               for nid, label in labels.items()})
+        if grown == classes:
             break
+        classes = grown
 
     # Breadth-first from the ordered boundaries keeps contraction local, so
     # the number of simultaneously open tensor axes stays near the diagram
@@ -300,7 +297,7 @@ def _canonical_order(d: ZXDiagram) -> list[int]:
     while True:
         while queue:
             nid = queue.pop(0)
-            for m in sorted(d.neighbors(nid), key=lambda x: (labels[x], x)):
+            for m in sorted(d._adj[nid], key=lambda x: (labels[x], x)):
                 if m not in seen:
                     seen.add(m)
                     order.append(m)
@@ -321,7 +318,31 @@ def _node_tensor(kind: str, phase: complex, legs: int) -> np.ndarray:
     # Hadamard columns (|+>, |->) for X
     b, c = (reduce(np.multiply.outer, [v] * legs, np.array(1.0 + 0j))
             for v in (HADAMARD if kind == "X" else np.eye(2)))
-    return b + cmath.exp(1j * phase) * c
+    return np.asarray(b + cmath.exp(1j * phase) * c)  # a 0-d sum is a numpy scalar
+
+
+_CACHED_LEGS = 8
+
+
+@lru_cache(maxsize=64)
+def _cached_tensor(kind: str, re_bits: str, im_bits: str, legs: int) -> np.ndarray:
+    """A read-only node tensor shared by every evaluate call in the process.
+
+    Only tensors of at most _CACHED_LEGS = 8 legs (4 KiB each) come here,
+    and only the 64 most recently used are kept: 256 KiB at most. A wider
+    one, up to 256 MiB at the budget, is built for its call alone. The
+    phase is keyed on its bits: 0j == -0j, but e^{i(-0-0j)} is 1-0j.
+    """
+    t = _node_tensor(kind, complex(float.fromhex(re_bits), float.fromhex(im_bits)), legs)
+    t.flags.writeable = False
+    return t
+
+
+def _tensor(node: ZXNode, legs: int) -> np.ndarray:
+    phase = complex(node.phase)
+    if legs > _CACHED_LEGS:
+        return _node_tensor(node.kind, phase, legs)
+    return _cached_tensor(node.kind, phase.real.hex(), phase.imag.hex(), legs)
 
 
 def _check_budget(n: int, what: str) -> None:
@@ -337,48 +358,47 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
         return d._matrix
     order = _canonical_order(d)
     rank = {nid: r for r, nid in enumerate(order)}
-    # Global labels: edge k of the rank-sorted edge list is label k; the
-    # boundary of rank r (inputs, then outputs) is label len(edges) + r.
+    # Global labels: edge k of the rank-sorted edge list is label k.
     ends = sorted(sorted((rank[a], rank[b])) for a, b in d.edges)
     legs: list[list[int]] = [[] for _ in order]
     for label, (r, s) in enumerate(ends):
         legs[r].append(label)
         legs[s].append(label)
 
+    # Spiders and H boxes are folded in canonical order. The boundary of rank
+    # r (inputs, then outputs) names its edge's axis; of a wire between two
+    # boundaries, the later one takes label len(ends) + r, joined to the
+    # wire's label by an identity factor folded last.
+    factors = [(d.nodes[order[r]], legs[r]) for r in range(n_open, len(order))]
+    boundary_labels = []
+    for r in range(n_open):
+        label = legs[r][0]
+        if r == ends[label][1]:
+            factors.append((None, [label, len(ends) + r]))
+            label = len(ends) + r
+        boundary_labels.append(label)
+
     # Plan the fold on labels alone, so the budget refuses before any array
-    # is built: spiders and H boxes in canonical order, then each boundary as
-    # an identity that renames its edge label to its boundary label. Each
-    # einsum call numbers only the labels it sees, in their global order; it
-    # sums in label order, so its result is bit for bit as with global labels.
+    # is built. Each einsum call numbers only the labels it sees, in their
+    # global order; it sums in label order, so its result is bit for bit as
+    # with global labels.
     plan, live = [], []
-    for r in [*range(n_open, len(order)), *range(n_open)]:
-        t_labels = legs[r] if r >= n_open else [legs[r][0], len(ends) + r]
+    for node, t_labels in factors:
         _check_budget(len(t_labels), "legs on one node")
-        both = live + t_labels
-        kept = [label for label in both if both.count(label) == 1]
+        shared = set(live).intersection(t_labels)
+        kept = [label for label in live + t_labels if label not in shared]
         _check_budget(len(kept), "live axes in one fold step")
-        ids = {label: i for i, label in enumerate(sorted(set(both)))}
-        plan.append((r, [ids[e] for e in live], [ids[e] for e in t_labels],
+        ids = {label: i for i, label in enumerate(sorted(set(live).union(t_labels)))}
+        plan.append((node, [ids[e] for e in live], [ids[e] for e in t_labels],
                      [ids[e] for e in kept]))
         live = kept
 
     current = np.array(1.0 + 0j)
-    # Each distinct spider is built once. The phase is keyed on its bits:
-    # 0j == -0j, but e^{i(-0-0j)} is 1-0j.
-    tensors: dict[tuple, np.ndarray] = {}
-    for r, current_ids, t_ids, kept_ids in plan:
-        if r < n_open:
-            t = np.eye(2)
-        else:
-            node = d.nodes[order[r]]
-            phase = complex(node.phase)
-            key = (node.kind, phase.real.hex(), phase.imag.hex(), len(t_ids))
-            if key not in tensors:
-                tensors[key] = _node_tensor(node.kind, node.phase, len(t_ids))
-            t = tensors[key]
+    for node, current_ids, t_ids, kept_ids in plan:
+        t = np.eye(2) if node is None else _tensor(node, len(t_ids))
         current = np.einsum(current, current_ids, t, t_ids, kept_ids)
 
-    out_labels = [len(ends) + r for r in [*range(n_in, n_open), *range(n_in)]]
+    out_labels = [boundary_labels[r] for r in [*range(n_in, n_open), *range(n_in)]]
     current = current.transpose([live.index(label) for label in out_labels])
     matrix = current.reshape(2 ** len(d.outputs), 2 ** n_in)
     matrix.flags.writeable = False
@@ -609,12 +629,65 @@ def _location_from_json(location):
     return tuple(out)
 
 
+def _local_sides(d: ZXDiagram, new: ZXDiagram) -> tuple[ZXDiagram, ZXDiagram]:
+    """The region a rewrite changed, cut out of each side as a small diagram.
+
+    The region holds every node that is absent on one side, whose ZXNode
+    differs, or whose place among the inputs/outputs moved. Each edge from it
+    into the unchanged context, and each context-to-context edge in the
+    multiset difference of the two edge lists, ends in an open leg at its
+    context node; the legs are outputs sorted by that node's id, after which
+    come the region's own boundaries in their order. A context node with a
+    different number of legs on the two sides, or with more than one (which
+    the sort could not pair across the sides), joins the region.
+    """
+    sides = (d, new)
+    places = [{**{n: ("in", i) for i, n in enumerate(x.inputs)},
+               **{n: ("out", i) for i, n in enumerate(x.outputs)}} for x in sides]
+    changed = (d.nodes.items() ^ new.nodes.items()) | (places[0].items() ^ places[1].items())
+    region = {n for n, _ in changed}
+    counts = Counter(d.edges), Counter(new.edges)
+    only = counts[0] - counts[1], counts[1] - counts[0]
+    while True:
+        wires = [[e for e in diff.elements() if region.isdisjoint(e)] for diff in only]
+        legs = [Counter(c for e in wire for c in e) for wire in wires]
+        for x, leg in zip(sides, legs):
+            leg.update(m for n in region for m in x._adj.get(n, ()) if m not in region)
+        grow = {c for c in legs[0].keys() | legs[1].keys()
+                if legs[0][c] != legs[1][c] or legs[0][c] > 1}
+        if not grow:
+            break
+        region |= grow
+
+    first = max(d.nodes.keys() | new.nodes.keys(), default=-1) + 1
+    out = {c: first + i for i, c in enumerate(sorted(legs[0]))}
+
+    def cut(x: ZXDiagram, wire: list) -> ZXDiagram:
+        nodes = {n: x.nodes[n] for n in region & x.nodes.keys()}
+        nodes.update((o, ZXNode("out")) for o in out.values())
+        edges = [(n, out.get(m, m)) for n in nodes for m in x._adj.get(n, ())
+                 if n < m or m not in region]
+        edges += [(out[a], out[b]) for a, b in wire]
+        return ZXDiagram(nodes, tuple(edges), tuple(n for n in x.inputs if n in region),
+                         (*out.values(), *(n for n in x.outputs if n in region)))
+
+    return cut(d, wires[0]), cut(new, wires[1])
+
+
+def _local_scalar(d: ZXDiagram, new: ZXDiagram) -> complex | None:
+    """proportionality(new, d), measured on the region that differs."""
+    before, after = _local_sides(d, new)
+    return proportionality(evaluate(after), evaluate(before))
+
+
 def apply_rule_checked(d: ZXDiagram, rule: str, location) -> tuple[ZXDiagram, RewriteStep]:
-    """Apply a rule and record the proportionality scalar measured by
-    contracting both sides; evaluate's ValueError passes through when a side
-    is over the contraction budget, so every recorded scalar is measured."""
+    """Apply a rule and record the proportionality scalar, measured by
+    contracting the region it changed on both sides: rules are local
+    equations, so L = s*R on the region scales the whole diagram by s.
+    evaluate's ValueError passes through when a region is over the
+    contraction budget, so every recorded scalar is measured."""
     new = apply_rule(d, rule, location)
-    scalar = proportionality(evaluate(new), evaluate(d))
+    scalar = _local_scalar(d, new)
     if scalar is None or scalar == 0:
         raise RuleApplicationError(
             f"rule {rule} at {location} did not preserve semantics up to a scalar"

@@ -10,8 +10,11 @@ literal edge limit of 24 in place of the constant `zx` no longer has, and
 contracts in, verbatim but for the name, so the oracle shares no code with
 the integer colour refinement it checks. `two_eigensolve_fidelity` is the
 former `qmath.fidelity` with its `matrix_sqrt_psd`, which decomposed the
-first state again instead of reading its stored validation spectrum. The
-property tests in test_oracles.py compare the library against them.
+first state again instead of reading its stored validation spectrum.
+`whole_diagram_scalar` is the former check of `zx.apply_rule_checked`, which
+contracted the whole diagram on both sides of a rewrite instead of the
+region it changed. The property tests in test_oracles.py compare the library
+against them.
 """
 from __future__ import annotations
 
@@ -20,8 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from nohidelab.qmath import EIG_CLAMP, HADAMARD, SQRT_FLOOR, DensityMatrix, hermitian_eig
-from nohidelab.zx import BOUNDARY_KINDS, ZXDiagram
+from nohidelab.qmath import (
+    EIG_CLAMP,
+    HADAMARD,
+    SQRT_FLOOR,
+    DensityMatrix,
+    hermitian_eig,
+    proportionality,
+)
+from nohidelab.zx import BOUNDARY_KINDS, ZXDiagram, apply_rule, evaluate
 
 
 def embed_matrix(u: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
@@ -211,3 +221,13 @@ def tensordot_evaluate(d: ZXDiagram) -> np.ndarray:
         raise AssertionError("contraction left unexpected open axes")
     current = np.transpose(current, perm)
     return current.reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
+
+
+def whole_scalar(before: ZXDiagram, after: ZXDiagram) -> complex | None:
+    """s with evaluate(after) = s * evaluate(before), or None."""
+    return proportionality(evaluate(after), evaluate(before))
+
+
+def whole_diagram_scalar(d: ZXDiagram, rule: str, loc) -> complex | None:
+    """The scalar of a rewrite, measured on the whole diagram."""
+    return whole_scalar(d, apply_rule(d, rule, loc))

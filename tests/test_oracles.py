@@ -1,8 +1,9 @@
 """Property tests of the numpy kernels, against the kernels they replaced where kept."""
 import itertools
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,12 +26,16 @@ from nohidelab.qmath import (
     trace_distance,
 )
 from nohidelab.zx import (
+    RULES,
     TRANSLATABLE_GATES,
     RuleApplicationError,
     ZXDiagram,
     ZXNode,
     _canonical_order,
+    _local_scalar,
+    _local_sides,
     apply_rule,
+    apply_rule_checked,
     circuit_to_zx,
     evaluate,
     match_rule,
@@ -44,6 +49,8 @@ from oracles import (
     string_canonical_order,
     tensordot_evaluate,
     two_eigensolve_fidelity,
+    whole_diagram_scalar,
+    whole_scalar,
 )
 from test_zx import planted_b2_diagram
 
@@ -281,3 +288,113 @@ def test_apply_rule_refuses_exactly_what_match_rule_omits(d):
             loc[i] = nid
             normal = tuple(sorted(loc[:2]) + sorted(loc[2:]))
             assert _refused(d, "B2", tuple(loc)) == (normal not in matches)
+
+
+# Local verification: the scalar measured on the region a rewrite changed is
+# the one measured on the whole diagram, which stays its oracle.
+
+
+def _rewrites(d):
+    """Every match of every rule, and a split of each spider off half its legs."""
+    found = [(rule, loc) for rule in RULES for loc in match_rule(d, rule)]
+    for nid in d.spiders():
+        legs = list(dict.fromkeys(d.neighbors(nid)))
+        found.append(("S1", ("unfuse", nid, tuple(legs[:len(legs) // 2]), (0.5, 0.25))))
+    return found
+
+
+def _applied(d, rule, loc):
+    try:
+        return apply_rule(d, rule, loc)
+    except RuleApplicationError:  # a rewrite that would close a zero-scalar loop
+        return None
+
+
+@PROPERTY
+@given(rewrite_sites())
+def test_local_scalar_matches_whole_diagram_oracle(d):
+    for rule, loc in _rewrites(d):
+        new = _applied(d, rule, loc)
+        if new is None:
+            continue
+        got, want = _local_scalar(d, new), whole_diagram_scalar(d, rule, loc)
+        assert want is not None and got is not None
+        assert abs(got - want) <= 1e-12
+
+
+def _corrupt(new, data):
+    """new with one spider's phase shifted off a multiple of 2 pi, or two
+    output wires swapped: rewired at their neighbours, or reordered."""
+    how = data.draw(st.sampled_from(["phase", "rewire", "reorder"]))
+    if how == "phase":
+        assume(new.spiders())
+        nid = data.draw(st.sampled_from(new.spiders()))
+        shift = data.draw(st.floats(0.1, 2 * math.pi - 0.1))
+        node = new.nodes[nid]
+        return ZXDiagram({**new.nodes, nid: ZXNode(node.kind, node.phase + shift)},
+                         new.edges, new.inputs, new.outputs)
+    assume(len(new.outputs) >= 2)
+    i, j = data.draw(st.permutations(range(len(new.outputs))))[:2]
+    o, p = new.outputs[i], new.outputs[j]
+    if how == "reorder":
+        outputs = list(new.outputs)
+        outputs[i], outputs[j] = p, o
+        return ZXDiagram(new.nodes, new.edges, new.inputs, tuple(outputs))
+    swap = {o: p, p: o}
+    edges = tuple((swap.get(a, a), swap.get(b, b)) for a, b in new.edges)
+    return ZXDiagram(new.nodes, edges, new.inputs, new.outputs)
+
+
+@PROPERTY
+@given(rewrite_sites(), st.data())
+def test_local_check_refuses_where_whole_diagram_check_refuses(d, data):
+    rewrites = [(rule, loc) for rule, loc in _rewrites(d) if _applied(d, rule, loc)]
+    assume(rewrites)
+    rule, loc = data.draw(st.sampled_from(rewrites))
+    bad = _corrupt(apply_rule(d, rule, loc), data)
+    if whole_scalar(d, bad) is None:
+        assert _local_scalar(d, bad) is None
+
+
+def _check_locally(d, rule, loc):
+    new, step = apply_rule_checked(d, rule, loc)
+    assert abs(step.scalar_check - whole_diagram_scalar(d, rule, loc)) <= 1e-12
+    return _local_sides(d, new)
+
+
+def test_legless_spider_is_its_own_region():
+    # a Z spider with no legs is the scalar 1 + e^{0.4i}, next to a bare wire
+    d = ZXDiagram({0: ZXNode("in"), 1: ZXNode("out"), 2: ZXNode("Z", 0.4)},
+                  ((0, 1),), (0,), (1,))
+    for rule, loc in (("C", (2,)), ("S1", ("unfuse", 2, (), (0.1, 0.0)))):
+        before, after = _check_locally(d, rule, loc)
+        assert before.nodes == {2: ZXNode("Z", 0.4)}
+        assert before.inputs == after.inputs == () and after.outputs == ()
+
+
+def test_context_node_with_two_legs_joins_the_region():
+    # Node 4 touches corner 5 (Z) and corner 1 (X) of a bialgebra square
+    # whose X corners have the lower ids: one leg per corner on each side,
+    # which a sort by node id could not pair, so node 4 is contracted too.
+    nodes = {0: ZXNode("in"), 8: ZXNode("in"), 7: ZXNode("out"), 9: ZXNode("out"),
+             1: ZXNode("X"), 2: ZXNode("X"), 5: ZXNode("Z"), 6: ZXNode("Z"),
+             4: ZXNode("Z", 0.3)}
+    edges = ((1, 5), (1, 6), (2, 5), (2, 6), (4, 5), (4, 1), (4, 0), (6, 8),
+             (2, 7), (4, 9))
+    d = ZXDiagram(nodes, edges, (0, 8), (7, 9))
+    assert match_rule(d, "B2") == [(5, 6, 1, 2)]
+    before, after = _check_locally(d, "B2", (5, 6, 1, 2))
+    assert 4 in before.nodes and 4 in after.nodes
+
+
+def test_identity_removal_leaves_a_wire_between_context_legs():
+    # S2 replaces the zero-phase spider between the T spider and the output
+    # by a direct edge, which the after side carries as a wire between two
+    # open legs.
+    d = circuit_to_zx(Circuit(1, (Gate("t", (0,)),)))
+    z = d.spiders()[0]
+    d = apply_rule(d, "S1", ("unfuse", z, (d.outputs[0],), (0.0, 0.0)))
+    (loc,) = match_rule(d, "S2")
+    before, after = _check_locally(d, "S2", loc)
+    assert [before.nodes[n].kind for n in before.nodes] == ["Z", "out", "out"]
+    assert set(after.nodes) == set(after.outputs) and len(after.edges) == 1

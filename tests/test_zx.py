@@ -155,6 +155,30 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"too large for brute force \(25 legs on one node;"):
             evaluate(d)
 
+    def test_shared_spider_tensors_are_built_once_read_only(self, monkeypatch):
+        zx._cached_tensor.cache_clear()
+        built = []
+        node_tensor = zx._node_tensor
+
+        def counted(kind, phase, legs):
+            built.append((kind, phase, legs))
+            return node_tensor(kind, phase, legs)
+
+        monkeypatch.setattr(zx, "_node_tensor", counted)
+        # two contractions of distinct diagrams sharing a T-phase spider
+        for _ in range(2):
+            evaluate(circuit_to_zx(Circuit(1, (Gate("t", (0,)),))))
+        assert built == [("Z", complex(math.pi / 4), 2)]
+        t = zx._tensor(ZXNode("Z", math.pi / 4), 2)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
+        # the cache is bounded, and a wide tensor is built for each call
+        assert zx._cached_tensor.cache_info().maxsize == 64
+        wide = zx._tensor(ZXNode("Z"), zx._CACHED_LEGS + 1)
+        assert zx._tensor(ZXNode("Z"), zx._CACHED_LEGS + 1) is not wide
+        assert len(built) == 3
+
     def test_too_many_open_legs_rejected_before_contracting(self, monkeypatch):
         # 13 bare wires: 26 open legs, so the 2^13 x 2^13 result would take
         # 1 GiB.
@@ -304,12 +328,30 @@ class TestApplyRule:
         assert phases == pytest.approx([0.4, 0.5])
         assert abs(step.scalar_check - 1) < 1e-9
 
-    def test_over_budget_rewrite_raises(self):
-        # No step records a scalar that was not measured by contraction.
+    def test_narrow_rewrite_on_wide_diagram_verifies(self):
+        # Only the region a rewrite changed is contracted: the two H boxes in
+        # front of a ladder that evaluate refuses as a whole.
         c = Circuit(12, (Gate("h", (0,)), Gate("h", (0,))) + cx_ladder(12).gates)
         d = circuit_to_zx(c)
+        _, step = apply_rule_checked(d, "HH", match_rule(d, "HH")[0])
+        assert abs(step.scalar_check - 1) < 1e-12
         with pytest.raises(ValueError, match="too large for brute force"):
-            apply_rule_checked(d, "HH", match_rule(d, "HH")[0])
+            evaluate(d)
+
+    def test_over_budget_region_raises_before_building_arrays(self, monkeypatch):
+        # No step records a scalar that was not measured by contraction:
+        # fusing two Z spiders with 13 outputs each changes a region with 26
+        # open legs.
+        nodes = {0: ZXNode("Z"), 1: ZXNode("Z"), **{n: ZXNode("out") for n in range(2, 28)}}
+        edges = ((0, 1), *((n % 2, n) for n in range(2, 28)))
+        d = ZXDiagram(nodes, edges, (), tuple(range(2, 28)))
+
+        def tensor_built(*_):
+            raise AssertionError("tensor built")
+
+        monkeypatch.setattr(zx, "_tensor", tensor_built)
+        with pytest.raises(ValueError, match=r"too large for brute force \(26 open legs;"):
+            apply_rule_checked(d, "S1", (0, 1))
 
     def test_pattern_mismatch_raises(self):
         d = circuit_to_zx(Circuit(2, (Gate("cx", (0, 1)),)))
@@ -523,15 +565,28 @@ class TestScriptedDerivation:
         assert d.nodes[carrier].kind == "X"
         assert not np.isclose(np.exp(1j * d.nodes[carrier].phase), 1.0)
 
-    def test_each_diagram_is_contracted_once(self, monkeypatch):
-        # 15 diagrams in the derivation (the initial one and one per step),
-        # then 9 new ones when simplify restarts from the initial diagram:
-        # every "before" is a carried-forward "after".
+    def test_only_initial_and_final_are_contracted_whole(self, monkeypatch):
+        # Two whole diagrams in the derivation (initial against the target,
+        # final against initial); every other contraction is one side of the
+        # region a step changed, two per step for its 14 steps and for the 9
+        # of simplify restarted from the initial diagram.
         started = count_contractions(monkeypatch)
+        local = []
+        local_sides = zx._local_sides
+
+        def recorded(d, new):
+            local.extend(local_sides(d, new))
+            return local[-2:]
+
+        monkeypatch.setattr(zx, "_local_sides", recorded)
         result = run_scripted_derivation()
         simplify(result.initial)
-        assert len(started) == 24
-        assert len({id(d) for d in started}) == 24
+        assert len(started) == 48
+        whole = [d for d in started if d is result.initial or d is result.final]
+        assert len(whole) == 2
+        assert {id(d) for d in started} - {id(d) for d in whole} == {id(d) for d in local}
+        assert len(local) == 46
+        assert max(len(d.inputs) + len(d.outputs) for d in local) == 4
 
     def test_steps_helper_returns_flat_list(self):
         steps = run_scripted_derivation().steps
