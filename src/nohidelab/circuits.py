@@ -155,16 +155,30 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-def run_statevector(c: Circuit, input_state: StateVector) -> StateVector:
-    """Apply the circuit's gates in sequence to a pure state."""
-    if input_state.num_qubits != c.num_qubits:
+def run_statevector(
+    c: Circuit, input_state: StateVector | np.ndarray
+) -> StateVector | np.ndarray:
+    """Apply the circuit's gates in sequence to a pure state.
+
+    `input_state` may also be a stack of P amplitude arrays with a leading
+    batch axis, of shape (P, 2^n) or (P, 2, ..., 2). Each gate is then
+    applied to all P states at once, with its axes shifted past the batch
+    axis, and the evolved stack is returned as an array of the same shape.
+    """
+    stacked = not isinstance(input_state, StateVector)
+    amps = np.asarray(input_state, dtype=complex) if stacked else input_state.amplitudes
+    batch = amps.shape[:1] if stacked else ()
+    size = math.prod(amps.shape[len(batch):])
+    if size != 2 ** c.num_qubits:
         raise ValueError(
             f"dimension mismatch: circuit has {c.num_qubits} qubits, "
-            f"state has {input_state.num_qubits}"
+            f"state has {size} amplitudes"
         )
-    psi = input_state.amplitudes.reshape((2,) * c.num_qubits).copy()
+    psi = amps.reshape(batch + (2,) * c.num_qubits).copy()
     for g in c.gates:
-        psi = _apply_op(psi, g.local_matrix(), g.targets)
+        psi = _apply_op(psi, g.local_matrix(), [t + len(batch) for t in g.targets])
+    if stacked:
+        return psi.reshape(amps.shape)
     return StateVector(c.num_qubits, psi.reshape(-1))
 
 

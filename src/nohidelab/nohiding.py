@@ -169,9 +169,13 @@ def default_input_gates(qubit: int = 0) -> tuple[Gate, ...]:
             Gate("h", (qubit,)), Gate("s", (qubit,)))
 
 
+@functools.cache
 def default_input_state() -> StateVector:
-    amps = circuit_unitary(Circuit(1, default_input_gates(0)))[:, 0]
-    return StateVector(1, amps)
+    """The state `default_input_gates` prepares, built once per process and
+    shared: its amplitudes are read-only."""
+    state = StateVector(1, circuit_unitary(Circuit(1, default_input_gates(0)))[:, 0])
+    state.amplitudes.flags.writeable = False
+    return state
 
 
 def u3_prep_gate(psi: StateVector, qubit: int = 0) -> Gate:
@@ -240,6 +244,7 @@ def run_perfect(
 # the final swaps; afterwards the system sits on wire 1, which is where
 # tomography reads it.
 _IMPERFECT_SYSTEM_WIRE = 1
+_KET0 = StateVector.ket("0")
 
 
 @functools.cache
@@ -256,15 +261,19 @@ def _imperfect_tail_gates() -> tuple[Gate, ...]:
     )
 
 
+def _dilution_gate(p: float) -> Gate:
+    """The u3 on the control wire that sets the bleaching weight p."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"bleaching weight p={p!r} outside [0, 1]")
+    return Gate("u3", (2,), (2.0 * math.asin(math.sqrt(p)), 0.0, 0.0))
+
+
 def _imperfect_core_gates(p: float) -> tuple[Gate, ...]:
-    theta = 2.0 * math.asin(math.sqrt(p))
-    return (Gate("u3", (2,), (theta, 0.0, 0.0)),) + _imperfect_tail_gates()[:3]
+    return (_dilution_gate(p),) + _imperfect_tail_gates()[:3]
 
 
 def build_imperfect_circuit(p: float) -> Circuit:
     """Partial bleaching at weight p, decode, and wire swaps for readout."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"bleaching weight p={p!r} outside [0, 1]")
     return Circuit(4, _imperfect_core_gates(p) + _imperfect_tail_gates()[3:])
 
 
@@ -295,7 +304,6 @@ class ExperimentRecord:
     """One sweep entry: exact and tomographic metrics at bleaching weight p."""
 
     p: float
-    system_state: DensityMatrix
     trace_distance_to_mixed: float
     fidelity_to_mixed: float
     fidelity_lower_bound: float
@@ -325,21 +333,39 @@ def run_sweep(
     seed: int = 0,
     psi: StateVector | None = None,
 ) -> list[ExperimentRecord]:
-    """Run the imperfect experiment across p, one derived seed per entry."""
+    """Run the imperfect experiment across p, one derived seed per entry.
+
+    All points are simulated at once: the dilution u3 is the only gate that
+    depends on p, and it acts on a wire that starts in |0>, so the inputs
+    psi (x) |0> (x) u3(theta_p)|0> (x) |0> form one (P, 2, 2, 2, 2) stack that
+    the p-independent gates evolve together. The system states on the
+    readout wire are reduced by one M M^dagger over the stack and validated
+    by one stacked eigensolve; tomography then runs per point, on the
+    stream of its entry seed. `build_imperfect_circuit(p)` is the per-point
+    circuit this reproduces.
+    """
+    dilutions = [_dilution_gate(p) for p in p_values]
+    if not dilutions:
+        return []
     if psi is None:
         psi = default_input_state()
-    inp = psi.tensor(StateVector.ket("000"))
+    if psi.num_qubits != 1:
+        raise ValueError("the imperfect sweep needs a single-qubit input state")
+    head = psi.tensor(_KET0).amplitudes
+    control = np.array([g.local_matrix()[:, 0] for g in dilutions])
+    inputs = head[None, :, None, None] * control[:, None, :, None] * _KET0.amplitudes
+    final = run_statevector(Circuit(4, _imperfect_tail_gates()),
+                            inputs.reshape((len(dilutions),) + (2,) * 4))
+    m = np.moveaxis(final, 1 + _IMPERFECT_SYSTEM_WIRE, 1).reshape(len(dilutions), 2, 8)
+    systems = DensityMatrix.stack(1, m @ m.conj().swapaxes(1, 2))
     records = []
-    for index, p in enumerate(p_values):
+    for index, (p, system) in enumerate(zip(p_values, systems)):
         entry_seed = seed + index
-        final = run_statevector(build_imperfect_circuit(p), inp)
-        tomo = tomo_pipeline(final, [_IMPERFECT_SYSTEM_WIRE], shots, entry_seed)
-        system = tomo.reduced
+        tomo = tomo_pipeline(system, [0], shots, entry_seed)
         t_exact, f_exact = distances_to_mixed(system)
         t_tomo, f_tomo = distances_to_mixed(tomo.physical)
         records.append(ExperimentRecord(
             p=float(p),
-            system_state=system,
             trace_distance_to_mixed=t_exact,
             fidelity_to_mixed=f_exact,
             fidelity_lower_bound=1.0 - (1.0 - float(p)) / 2.0,

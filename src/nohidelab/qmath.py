@@ -57,25 +57,28 @@ def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
     descending order and eigenvectors as the columns of a unitary matrix,
-    so that m = V diag(w) V^dagger.
+    so that m = V diag(w) V^dagger. A stack of matrices with leading batch
+    axes is decomposed by one `eigh` call, matrix by matrix bit-identical to
+    single calls, and gives stacked results.
 
     Raises ValueError for input with a NaN or infinite entry, or that is not
     Hermitian within `tol`, naming the worst asymmetric entry.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a NaN or infinite entry")
-    asym = np.abs(m - m.conj().T)
+    adjoint = m.conj().swapaxes(-1, -2)
+    asym = np.abs(m - adjoint)
     worst = float(asym.max()) if m.size else 0.0
     if worst > tol:
-        i, j = np.unravel_index(int(asym.argmax()), asym.shape)
+        *_, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
         raise ValueError(
             f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| = {worst:.3e}"
         )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w[::-1], v[:, ::-1]
+    w, v = np.linalg.eigh((m + adjoint) / 2.0)
+    return w[..., ::-1], v[..., ::-1]
 
 
 def read_only_eig(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -165,19 +168,50 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        dim = 2 ** self.num_qubits
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-        w, v = read_only_eig(m, tol=ATOL)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond tolerance")
-        if float(w.min()) < -EIG_CLAMP:
-            raise ValueError(f"density matrix has negative eigenvalue {float(w.min()):.3e}")
-        object.__setattr__(self, "spectrum", (w, v))
+        object.__setattr__(self, "spectrum", _density_spectra(m, self.num_qubits))
+
+    @classmethod
+    def stack(cls, num_qubits: int, matrices: np.ndarray) -> list["DensityMatrix"]:
+        """One DensityMatrix per matrix of a (P, d, d) stack, all validated by
+        one stacked eigensolve; each keeps read-only views of its slice of the
+        stacked spectrum, and its matrix is a view of the stack."""
+        m = np.asarray(matrices, dtype=complex)
+        w, v = _density_spectra(m, num_qubits, stacked=True)
+        states = []
+        for i in range(len(m)):
+            rho = object.__new__(cls)
+            object.__setattr__(rho, "num_qubits", num_qubits)
+            object.__setattr__(rho, "matrix", m[i])
+            object.__setattr__(rho, "spectrum", (w[i], v[i]))
+            states.append(rho)
+        return states
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
+
+
+def _density_spectra(
+    m: np.ndarray, num_qubits: int, stacked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only spectrum of a density matrix, or the stacked spectra of a
+    (P, d, d) stack when `stacked`.
+
+    Raises ValueError unless every matrix is Hermitian, unit trace and PSD.
+    """
+    dim = 2 ** num_qubits
+    if m.shape[int(stacked):] != (dim, dim):
+        stack = " stack" if stacked else ""
+        raise ValueError(f"expected a {dim}x{dim} matrix{stack}, got shape {m.shape}")
+    w, v = read_only_eig(m, tol=ATOL)
+    traces = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+    for tr in traces:
+        if abs(tr - 1.0) > ATOL:
+            raise ValueError(
+                f"density matrix trace {complex(tr)!r} differs from 1 beyond tolerance"
+            )
+    if w.size and float(w.min()) < -EIG_CLAMP:
+        raise ValueError(f"density matrix has negative eigenvalue {float(w.min()):.3e}")
+    return w, v
 
 
 def _require_same_dims(a: DensityMatrix | StateVector, b: DensityMatrix | StateVector) -> None:
@@ -263,12 +297,17 @@ def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: Sequence[int]) ->
 def partial_trace(state: StateVector | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduced state on `keep` (in the given order); trace is preserved.
 
+    A DensityMatrix whose `keep` is all of its qubits, in order, is returned
+    as it is, already validated.
+
     A pure state is reduced from its amplitudes, as M M^dagger with M the
     amplitudes reshaped to (kept, traced) axes, so no 2^n x 2^n matrix is formed.
     """
     n = state.num_qubits
     keep = _keep_list(keep, n)
     if isinstance(state, DensityMatrix):
+        if keep == list(range(n)):
+            return state
         reduced = partial_trace_matrix(state.matrix, n, keep)
     else:
         traced = [q for q in range(n) if q not in keep]

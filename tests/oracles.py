@@ -13,8 +13,10 @@ former `qmath.fidelity` with its `matrix_sqrt_psd`, which decomposed the
 first state again instead of reading its stored validation spectrum.
 `whole_diagram_scalar` is the former check of `zx.apply_rule_checked`, which
 contracted the whole diagram on both sides of a rewrite instead of the
-region it changed. The property tests in test_oracles.py compare the library
-against them.
+region it changed. `per_point_sweep` is the former loop of
+`nohiding.run_sweep`, which simulated, reduced and validated each sweep point
+on its own, verbatim but for the name and the deleted `system_state` field.
+The property tests in test_oracles.py compare the library against them.
 """
 from __future__ import annotations
 
@@ -23,14 +25,24 @@ from typing import Sequence
 
 import numpy as np
 
+from nohidelab.circuits import run_statevector
+from nohidelab.nohiding import (
+    _IMPERFECT_SYSTEM_WIRE,
+    ExperimentRecord,
+    build_imperfect_circuit,
+    default_input_state,
+)
 from nohidelab.qmath import (
     EIG_CLAMP,
     HADAMARD,
     SQRT_FLOOR,
     DensityMatrix,
+    StateVector,
+    distances_to_mixed,
     hermitian_eig,
     proportionality,
 )
+from nohidelab.tomo import tomo_pipeline
 from nohidelab.zx import BOUNDARY_KINDS, ZXDiagram, apply_rule, evaluate
 
 
@@ -231,3 +243,34 @@ def whole_scalar(before: ZXDiagram, after: ZXDiagram) -> complex | None:
 def whole_diagram_scalar(d: ZXDiagram, rule: str, loc) -> complex | None:
     """The scalar of a rewrite, measured on the whole diagram."""
     return whole_scalar(d, apply_rule(d, rule, loc))
+
+
+def per_point_sweep(
+    p_values: Sequence[float],
+    shots: int | None,
+    seed: int = 0,
+    psi: StateVector | None = None,
+) -> list[ExperimentRecord]:
+    """Run the imperfect experiment across p, one derived seed per entry."""
+    if psi is None:
+        psi = default_input_state()
+    inp = psi.tensor(StateVector.ket("000"))
+    records = []
+    for index, p in enumerate(p_values):
+        entry_seed = seed + index
+        final = run_statevector(build_imperfect_circuit(p), inp)
+        tomo = tomo_pipeline(final, [_IMPERFECT_SYSTEM_WIRE], shots, entry_seed)
+        system = tomo.reduced
+        t_exact, f_exact = distances_to_mixed(system)
+        t_tomo, f_tomo = distances_to_mixed(tomo.physical)
+        records.append(ExperimentRecord(
+            p=float(p),
+            trace_distance_to_mixed=t_exact,
+            fidelity_to_mixed=f_exact,
+            fidelity_lower_bound=1.0 - (1.0 - float(p)) / 2.0,
+            trace_distance_tomo=t_tomo,
+            fidelity_tomo=f_tomo,
+            raw_min_eigenvalue=tomo.raw.min_eigenvalue,
+            seed=entry_seed,
+        ))
+    return records

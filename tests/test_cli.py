@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ class TestPerfect:
 
 
 class TestImperfect:
+    def test_shot_sweep_matches_golden_bytes(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["imperfect", "--shots", "1024", "--format", "csv", "--seed", "3"]
+        assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+        golden = Path(__file__).parent / "data" / "imperfect_golden.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_default_grid_csv_matches_closed_form(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run_cli(["imperfect", "--format", "csv", "--out", str(out)], capsys)
@@ -222,7 +230,7 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("argv, eigensolves", [
-    (["imperfect", "--shots", "1024"], 33),
+    (["imperfect", "--shots", "1024"], 23),
     (["perfect", "--shots", "8192"], 10),
 ])
 def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
@@ -230,7 +238,9 @@ def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
     # distance and fidelity that `perfect` reports between two states. Pure
     # states are reduced without forming their density matrix, distances to
     # I/2 and to pure targets need none, and fidelity and projection reuse
-    # stored spectra.
+    # stored spectra. The sweep validates its 11 exact system states with
+    # one stacked eigensolve, which tomography reuses; each point's raw and
+    # projected tomograms take one each: 1 + 11 + 11.
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(eigh_calls) == eigensolves

@@ -22,7 +22,7 @@ from nohidelab.nohiding import (
 )
 from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 
-from conftest import maximally_mixed, random_state
+from conftest import random_state
 
 
 class TestRandomizer:
@@ -66,6 +66,12 @@ class TestRandomizer:
                 v.matrix[0, 0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 v.bell_state[0] = 0.0
+
+    def test_default_input_state_built_once_and_read_only(self):
+        psi = default_input_state()
+        assert default_input_state() is psi
+        with pytest.raises(ValueError, match="read-only"):
+            psi.amplitudes[0] = 0.0
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown randomizer variant"):
@@ -276,8 +282,28 @@ class TestSweep:
     def test_record_validation(self):
         with pytest.raises(ValueError, match="lower_bound"):
             ExperimentRecord(
-                p=0.5, system_state=maximally_mixed(1),
-                trace_distance_to_mixed=0.25, fidelity_to_mixed=0.9,
+                p=0.5, trace_distance_to_mixed=0.25, fidelity_to_mixed=0.9,
                 fidelity_lower_bound=0.9, trace_distance_tomo=0.25,
                 fidelity_tomo=0.9, raw_min_eigenvalue=0.2, seed=0,
             )
+
+    def test_empty_sweep(self, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("an empty sweep simulates nothing")
+
+        monkeypatch.setattr(nohiding, "run_statevector", no_simulation)
+        assert run_sweep([], shots=1024) == []
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_bad_weight_rejected_before_any_state(self, p, monkeypatch):
+        def no_state(*args):
+            raise AssertionError("a state was built for an invalid sweep")
+
+        monkeypatch.setattr(nohiding, "default_input_state", no_state)
+        monkeypatch.setattr(nohiding, "run_statevector", no_state)
+        with pytest.raises(ValueError, match="outside"):
+            run_sweep([0.5, p], shots=None)
+
+    def test_multi_qubit_input_rejected(self, rng):
+        with pytest.raises(ValueError, match="single-qubit"):
+            run_sweep([0.5], shots=None, psi=random_state(rng, 2))

@@ -15,8 +15,10 @@ from nohidelab.circuits import (
     gate_matrix,
     run_density,
 )
+from nohidelab.nohiding import DEFAULT_SWEEP_GRID, run_sweep
 from nohidelab.qmath import (
     DensityMatrix,
+    StateVector,
     distances_to_mixed,
     fidelity,
     fidelity_to_pure,
@@ -45,6 +47,7 @@ from nohidelab.zx import (
 from conftest import maximally_mixed, random_density, random_state
 from oracles import (
     embed_matrix,
+    per_point_sweep,
     run_density_dense,
     string_canonical_order,
     tensordot_evaluate,
@@ -398,3 +401,47 @@ def test_identity_removal_leaves_a_wire_between_context_legs():
     before, after = _check_locally(d, "S2", loc)
     assert [before.nodes[n].kind for n in before.nodes] == ["Z", "out", "out"]
     assert set(after.nodes) == set(after.outputs) and len(after.edges) == 1
+
+
+_amplitude_parts = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def sweep_cases(draw):
+    psi = None
+    if draw(st.booleans()):
+        # Exact zeros and signed unit parts exercise the signs of zero.
+        amps = np.array([complex(draw(_amplitude_parts), draw(_amplitude_parts))
+                         for _ in range(2)])
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        psi = StateVector(1, amps / norm)
+    points = st.sampled_from([0.0, 1.0, *DEFAULT_SWEEP_GRID]) | st.floats(0.0, 1.0)
+    p_values = draw(st.lists(points, max_size=6))
+    if p_values and draw(st.booleans()):
+        p_values.insert(draw(st.integers(0, len(p_values))), draw(st.sampled_from(p_values)))
+    shots = draw(st.none() | st.integers(1, 5000))
+    return p_values, shots, draw(st.integers(0, 2 ** 32 - 1)), psi
+
+
+@PROPERTY
+@given(sweep_cases())
+def test_batched_sweep_matches_per_point_oracle_bitwise(case):
+    # repr round-trips every float exactly and tells -0.0 from 0.0.
+    p_values, shots, seed, psi = case
+    batched = run_sweep(p_values, shots, seed, psi)
+    assert [repr(r) for r in batched] == [
+        repr(r) for r in per_point_sweep(p_values, shots, seed, psi)
+    ]
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(
+    lambda dim: st.lists(_complex_matrices(dim), min_size=1, max_size=6)))
+def test_stacked_eigensolve_matches_single_calls_bitwise(matrices):
+    stack = np.array([(m + m.conj().T) / 2 for m in matrices])
+    w, v = hermitian_eig(stack)
+    for i, m in enumerate(stack):
+        single_w, single_v = hermitian_eig(m)
+        assert w[i].tobytes() == single_w.tobytes()
+        assert v[i].tobytes() == single_v.tobytes()

@@ -261,6 +261,45 @@ class TestStateTypes:
             v[0, 0] = 0.0
         assert "spectrum" not in repr(rho)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    ], ids=["non-hermitian", "trace", "not-psd"])
+    def test_stack_rejects_one_bad_member_with_the_single_message(self, bad, message, rng):
+        good = random_density(rng, 1).matrix
+        with pytest.raises(ValueError, match=message) as single:
+            DensityMatrix(1, bad.astype(complex))
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix.stack(1, np.array([good, bad, good]))
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_shares_one_eigensolve_and_matches_single_states(self, rng, eigh_calls):
+        matrices = np.array([random_density(rng, 2).matrix for _ in range(3)])
+        singles = [DensityMatrix(2, m) for m in matrices]
+        del eigh_calls[:]
+        states = DensityMatrix.stack(2, matrices)
+        assert len(eigh_calls) == 1
+        for rho, single in zip(states, singles):
+            assert rho.num_qubits == 2
+            assert rho.matrix.tobytes() == single.matrix.tobytes()
+            for stacked_part, single_part in zip(rho.spectrum, single.spectrum):
+                assert stacked_part.tobytes() == single_part.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    stacked_part[0] = 0.0
+
+    def test_stack_of_none_and_wrong_shapes(self):
+        assert DensityMatrix.stack(1, np.zeros((0, 2, 2))) == []
+        with pytest.raises(ValueError, match="2x2 matrix stack"):
+            DensityMatrix.stack(1, np.eye(2))
+
+    def test_full_partial_trace_returns_the_validated_state(self, rng, eigh_calls):
+        rho = random_density(rng, 2)
+        del eigh_calls[:]
+        assert partial_trace(rho, [0, 1]) is rho
+        assert partial_trace(rho, [1, 0]) is not rho
+        assert len(eigh_calls) == 1
+
     def test_predicates(self, rng):
         assert qmath.is_unitary(qmath.HADAMARD)
         assert not qmath.is_unitary(np.ones((2, 2)))
