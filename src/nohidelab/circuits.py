@@ -1,4 +1,4 @@
-"""Circuit IR, text-format parser, and exact state/density simulators.
+"""Circuit IR, text-format parser, and the exact statevector simulator.
 
 Text format (UTF-8, one statement per line):
 
@@ -30,7 +30,6 @@ from .qmath import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityMatrix,
     StateVector,
     is_unitary,
 )
@@ -180,87 +179,6 @@ def run_statevector(
     if stacked:
         return psi.reshape(amps.shape)
     return StateVector(c.num_qubits, psi.reshape(-1))
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Completely positive trace-preserving map as a list of Kraus operators."""
-
-    kraus_ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        object.__setattr__(self, "kraus_ops", ops)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise ValueError("Kraus operators must share one square dimension")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.abs(total - np.eye(dim)).max() > ATOL:
-            raise ValueError("channel is not trace preserving: sum K^dag K != I")
-
-    @property
-    def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return int(round(math.log2(self.dim)))
-
-
-def depolarizing_channel(p: float) -> Channel:
-    """Single-qubit map mixing the input with I/2 at weight p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing weight p={p!r} outside [0, 1]")
-    weights = [(1.0 - 0.75 * p, I2), (p / 4.0, PAULI_X), (p / 4.0, PAULI_Y), (p / 4.0, PAULI_Z)]
-    ops = [math.sqrt(w) * op for w, op in weights if w > 0.0]
-    return Channel(tuple(ops))
-
-
-def run_density(
-    c: Circuit,
-    channels: Sequence[tuple[Channel, Sequence[int], int]],
-    input_state: DensityMatrix,
-) -> DensityMatrix:
-    """Run the circuit on a mixed state, interleaving Kraus channels.
-
-    Each channel entry is (channel, qubit indices, position); position i in
-    [0, len(gates)] applies the channel just before gate i (or after the
-    last gate when i == len(gates)).
-    """
-    if input_state.num_qubits != c.num_qubits:
-        raise ValueError(
-            f"dimension mismatch: circuit has {c.num_qubits} qubits, "
-            f"state has {input_state.num_qubits}"
-        )
-    by_position: dict[int, list[tuple[Channel, tuple[int, ...]]]] = {}
-    for chan, qubits, position in channels:
-        qubits = tuple(int(q) for q in qubits)
-        if not 0 <= position <= len(c.gates):
-            raise ValueError(f"channel position {position} outside gate-list bounds")
-        if chan.num_qubits != len(qubits):
-            raise ValueError("channel dimension does not match its qubit list")
-        for q in qubits:
-            if not 0 <= q < c.num_qubits:
-                raise ValueError(f"channel qubit {q} out of range")
-        by_position.setdefault(position, []).append((chan, qubits))
-
-    n = c.num_qubits
-
-    def conjugate(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-        # op rho op^dagger: op on the row legs, conj(op) on the column legs.
-        rho = _apply_op(rho, op, qubits)
-        return _apply_op(rho, op.conj(), [n + q for q in qubits])
-
-    rho = input_state.matrix.reshape((2,) * (2 * n)).copy()
-    for i in range(len(c.gates) + 1):
-        for chan, qubits in by_position.get(i, ()):
-            rho = sum(conjugate(rho, k, qubits) for k in chan.kraus_ops)
-        if i < len(c.gates):
-            rho = conjugate(rho, c.gates[i].local_matrix(), c.gates[i].targets)
-    return DensityMatrix(n, rho.reshape(2 ** n, 2 ** n))
 
 
 class CircuitParseError(ValueError):

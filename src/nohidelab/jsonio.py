@@ -98,7 +98,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     current umask, not the 0600 of mkstemp.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    # At most 60 characters of the name (240 bytes in UTF-8), 8 random ones
+    # and ".tmp": the temp name fits NAME_MAX (255 bytes) for any target.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name[:60], suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -25,7 +25,6 @@ from .circuits import (
     Circuit,
     Gate,
     circuit_unitary,
-    depolarizing_channel,
     run_statevector,
 )
 from .qmath import (
@@ -178,26 +177,12 @@ def default_input_state() -> StateVector:
     return state
 
 
-def u3_prep_gate(psi: StateVector, qubit: int = 0) -> Gate:
-    """U3 gate preparing the given single-qubit state from |0> up to phase."""
-    if psi.num_qubits != 1:
-        raise ValueError("u3 preparation needs a single-qubit state")
-    a, b = psi.amplitudes
-    theta = 2.0 * math.atan2(abs(b), abs(a))
-    if abs(a) > 1e-12:
-        phi = float(np.angle(b / a)) if abs(b) > 1e-12 else 0.0
-    else:
-        phi = 0.0
-    return Gate("u3", (qubit,), (theta, phi, 0.0))
-
-
 @dataclass(frozen=True)
 class PerfectResult:
     """Exact and tomographic outcomes of one erasure-plus-decode run."""
 
     variant: str
     input_state: StateVector
-    final_state: StateVector
     bell_pair: tuple[int, int]
     transfer_qubit: int
     bell_fidelity: float
@@ -230,7 +215,6 @@ def run_perfect(
     return PerfectResult(
         variant=tag,
         input_state=psi,
-        final_state=final,
         bell_pair=variant.bell_pair,
         transfer_qubit=variant.transfer_qubit,
         bell_fidelity=bell_fid,
@@ -290,11 +274,20 @@ def imperfect_channel_images(p: float) -> dict[str, np.ndarray]:
     return images
 
 
+def depolarizing_kraus(p: float) -> tuple[np.ndarray, ...]:
+    """Kraus operators of the single-qubit map mixing the input with I/2 at
+    weight p: sqrt(1 - 3p/4) I and sqrt(p/4) X, Y, Z, zero weights omitted."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing weight p={p!r} outside [0, 1]")
+    weights = [(1.0 - 0.75 * p, "I"), (p / 4.0, "X"), (p / 4.0, "Y"), (p / 4.0, "Z")]
+    return tuple(math.sqrt(w) * PAULIS[name] for w, name in weights if w > 0.0)
+
+
 def depolarized_images(p: float) -> dict[str, np.ndarray]:
     """The same four Pauli images under the Kraus form of the bleaching map."""
-    chan = depolarizing_channel(p)
+    kraus = depolarizing_kraus(p)
     return {
-        name: sum(k @ pauli @ k.conj().T for k in chan.kraus_ops)
+        name: sum(k @ pauli @ k.conj().T for k in kraus)
         for name, pauli in PAULIS.items()
     }
 
@@ -427,7 +420,6 @@ __all__ = [
     "build_imperfect_circuit",
     "default_input_gates",
     "default_input_state",
-    "u3_prep_gate",
     "run_perfect",
     "run_sweep",
     "sweep_rows",
@@ -437,6 +429,7 @@ __all__ = [
     "PerfectResult",
     "ExperimentRecord",
     "imperfect_channel_images",
+    "depolarizing_kraus",
     "depolarized_images",
     "bleaching_check",
     "channel_identity_error",

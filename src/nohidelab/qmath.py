@@ -33,23 +33,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
-
-
 def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         return False
     return np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= tol
-
-
-def is_psd(m: np.ndarray, tol: float = ATOL) -> bool:
-    if not is_hermitian(m, tol):
-        return False
-    eigenvalues, _ = hermitian_eig(m, tol=max(tol, ATOL))
-    return eigenvalues[-1] >= -tol
 
 
 def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np.ndarray]:

@@ -53,13 +53,6 @@ class ShotCounts:
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts do not sum to the shot total")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "shots": self.shots,
-            "counts": {k: self.counts[k] for k in sorted(self.counts)},
-        }
-
 
 def _basis_rotation(basis: str) -> np.ndarray:
     rot = _ROTATION[basis[0]]
@@ -98,16 +91,6 @@ def measure_shots(state: DensityMatrix, basis: str, shots: int, seed: int) -> Sh
     n = state.num_qubits
     counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(drawn) if c > 0}
     return ShotCounts(basis, shots, counts)
-
-
-def expectation(counts: ShotCounts) -> float:
-    """Parity estimator over all measured qubits, in [-1, 1]."""
-    if counts.shots == 0:
-        raise ValueError("cannot estimate an expectation from zero shots")
-    total = 0
-    for outcome, c in counts.counts.items():
-        total += -c if outcome.count("1") % 2 else c
-    return total / counts.shots
 
 
 def pauli_strings(num_qubits: int) -> list[str]:

@@ -980,16 +980,26 @@ def _json_field(obj, key: str, where: str, valid, what: str, default=None):
     return value
 
 
+# JSON true and false parse as bool, a subclass of int: neither is an id or a number.
 def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_list(x) -> bool:
     return isinstance(x, list)
 
 
+def _is_id(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_ids(x) -> bool:
-    return isinstance(x, list) and all(isinstance(v, int) for v in x)
+    return isinstance(x, list) and all(map(_is_id, x))
+
+
+def _is_location(x) -> bool:
+    return isinstance(x, list) and all(
+        _is_location(v) if isinstance(v, list) else not isinstance(v, bool) for v in x)
 
 
 def _is_phase(x) -> bool:
@@ -1002,7 +1012,7 @@ def diagram_from_json_dict(obj: dict) -> ZXDiagram:
     nodes: dict[int, ZXNode] = {}
     for i, n in enumerate(_json_field(obj, "nodes", "diagram", _is_list, "a list")):
         where = f"node {i}"
-        nid = _json_field(n, "id", where, lambda v: isinstance(v, int), "an integer")
+        nid = _json_field(n, "id", where, _is_id, "an integer")
         if nid in nodes:
             raise ValueError(f"{where}: duplicate id {nid}")
         kind = _json_field(n, "kind", where, lambda v: isinstance(v, str), "a string")
@@ -1031,7 +1041,8 @@ def steps_from_json_list(items: list[dict]) -> list[RewriteStep]:
     for i, item in enumerate(items):
         where = f"step {i}"
         rule = _json_field(item, "rule", where, lambda v: v in RULES, f"one of {RULES}")
-        location = _json_field(item, "location", where, _is_list, "a list")
+        location = _json_field(item, "location", where, _is_location,
+                               "a list without booleans")
         re_part, im_part = (_json_field(item, key, where, _is_real, "a finite real number")
                             for key in ("scalar_re", "scalar_im"))
         try:

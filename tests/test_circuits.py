@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from nohidelab import qmath
 from nohidelab.circuits import (
     MAX_QUBITS,
-    Channel,
     Circuit,
     CircuitParseError,
     Gate,
     circuit_unitary,
-    depolarizing_channel,
     gate_matrix,
     parse_circuit,
     render_circuit,
-    run_density,
     run_statevector,
     u3_matrix,
 )
+from nohidelab.nohiding import depolarizing_kraus
 from nohidelab.qmath import StateVector, kron
 
 from conftest import random_density, random_state
@@ -219,75 +217,30 @@ class TestStatevectorSim:
 
 class TestChannels:
     def test_depolarizing_p0_single_kraus(self):
-        chan = depolarizing_channel(0.0)
-        assert len(chan.kraus_ops) == 1
-        assert np.abs(chan.kraus_ops[0] - np.eye(2)).max() < 1e-12
+        kraus = depolarizing_kraus(0.0)
+        assert len(kraus) == 1
+        assert np.abs(kraus[0] - np.eye(2)).max() < 1e-12
 
     def test_depolarizing_p1_weights(self):
-        chan = depolarizing_channel(1.0)
-        assert len(chan.kraus_ops) == 4
-        for k in chan.kraus_ops:
+        kraus = depolarizing_kraus(1.0)
+        assert len(kraus) == 4
+        for k in kraus:
             assert np.abs(np.abs(k[np.abs(k) > 1e-12]) - 0.5).max() < 1e-12
 
     def test_completeness_on_grid(self):
         for k in range(11):
-            chan = depolarizing_channel(k / 10)
-            total = sum(op.conj().T @ op for op in chan.kraus_ops)
+            total = sum(op.conj().T @ op for op in depolarizing_kraus(k / 10))
             assert np.abs(total - np.eye(2)).max() < 1e-12
+
+    def test_map_mixes_the_input_with_identity_at_weight_p(self, rng):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            rho = random_density(rng, 1).matrix
+            out = sum(k @ rho @ k.conj().T for k in depolarizing_kraus(p))
+            assert np.abs(out - ((1 - p) * rho + p * np.eye(2) / 2)).max() < 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            depolarizing_channel(1.5)
-
-    def test_rejects_non_cptp(self):
-        with pytest.raises(ValueError, match="not trace preserving"):
-            Channel((qmath.HADAMARD, qmath.PAULI_X))
-
-
-class TestDensitySim:
-    def test_empty_circuit_identity(self, rng):
-        rho = random_density(rng, 2)
-        out = run_density(Circuit(2), [], rho)
-        assert np.abs(out.matrix - rho.matrix).max() < 1e-12
-
-    def test_full_depolarizing_gives_mixed(self, rng):
-        rho = random_density(rng, 1)
-        out = run_density(Circuit(1), [(depolarizing_channel(1.0), [0], 0)], rho)
-        assert np.abs(out.matrix - np.eye(2) / 2).max() < 1e-12
-
-    def test_partial_depolarizing_eigenvalues(self, rng):
-        psi = random_state(rng, 1)
-        for p in (0.1, 0.5, 0.9):
-            out = run_density(Circuit(1), [(depolarizing_channel(p), [0], 0)], psi.to_density())
-            w, _ = qmath.hermitian_eig(out.matrix)
-            assert np.abs(w - [1 - p / 2, p / 2]).max() < 1e-10
-
-    def test_matches_statevector_on_projectors(self, rng):
-        c = parse_circuit("qubits 2\nh 0\ncx 0 1\ns 1")
-        psi = random_state(rng, 2)
-        dm = run_density(c, [], psi.to_density())
-        sv = run_statevector(c, psi).to_density()
-        assert np.abs(dm.matrix - sv.matrix).max() < 1e-10
-
-    def test_channel_preserves_trace_and_hermiticity(self, rng):
-        chan = depolarizing_channel(0.37)
-        for _ in range(100):
-            rho = random_density(rng, 2)
-            out = run_density(Circuit(2), [(chan, [int(rng.integers(2))], 0)], rho)
-            assert abs(np.trace(out.matrix) - 1) < 1e-10
-            assert qmath.is_hermitian(out.matrix, 1e-10)
-
-    def test_channel_position_interleaves_with_gates(self):
-        # X before full depolarizing vs after: the mixed state hides the X
-        c = Circuit(1, (Gate("x", (0,)),))
-        before = run_density(c, [(depolarizing_channel(1.0), [0], 0)], StateVector.ket("0").to_density())
-        after = run_density(c, [(depolarizing_channel(1.0), [0], 1)], StateVector.ket("0").to_density())
-        assert np.abs(before.matrix - np.eye(2) / 2).max() < 1e-12
-        assert np.abs(after.matrix - np.eye(2) / 2).max() < 1e-12
-
-    def test_position_bounds_checked(self, rng):
-        with pytest.raises(ValueError, match="bounds"):
-            run_density(Circuit(1), [(depolarizing_channel(0.5), [0], 2)], random_density(rng, 1))
+            depolarizing_kraus(1.5)
 
 
 def test_gate_validation():

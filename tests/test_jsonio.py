@@ -147,6 +147,14 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_takes_a_name_near_the_length_limit(tmp_path):
+    # The temp file's name must stay within NAME_MAX (255 bytes) too.
+    target = tmp_path / ("a" * 245 + ".json")
+    write_text_atomic(target, "payload\n")
+    assert target.read_text() == "payload\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     target = tmp_path / "out.json"
     target.write_text("old")

@@ -18,7 +18,6 @@ from nohidelab.nohiding import (
     run_perfect,
     run_sweep,
     sweep_rows,
-    u3_prep_gate,
 )
 from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 
@@ -144,25 +143,6 @@ class TestFullCircuit:
         psi = random_state(rng, 1)
         result = run_perfect("eq2", psi=psi)
         assert result.transfer_fidelity == pytest.approx(1.0, abs=1e-10)
-
-
-class TestU3Prep:
-    def test_recovers_arbitrary_states_up_to_phase(self, rng):
-        from nohidelab.circuits import Circuit, circuit_unitary
-
-        for _ in range(20):
-            psi = random_state(rng, 1)
-            gate = u3_prep_gate(psi)
-            prepared = circuit_unitary(Circuit(1, (gate,)))[:, 0]
-            assert qmath.equal_up_to_global_phase(prepared, psi.amplitudes)
-
-    def test_basis_states(self):
-        for bits in ("0", "1"):
-            psi = StateVector.ket(bits)
-            from nohidelab.circuits import Circuit, circuit_unitary
-
-            prepared = circuit_unitary(Circuit(1, (u3_prep_gate(psi),)))[:, 0]
-            assert qmath.equal_up_to_global_phase(prepared, psi.amplitudes)
 
 
 class TestImperfect:
