@@ -1,8 +1,10 @@
 """Former kernels of the library, kept as test oracles for the code that replaced them.
 
-`whole_diagram_scalar` is the former check of `zx.apply_rule_checked`, which
-contracted the whole diagram on both sides of a rewrite instead of the
-region it changed. `per_point_sweep` is the former loop of
+`string_canonical_order` is the former string-label `zx._canonical_order`,
+verbatim but for the name, so the oracle shares no code with the integer
+colour refinement it checks. `whole_diagram_scalar` is the former check of
+`zx.apply_rule_checked`, which contracted the whole diagram on both sides of
+a rewrite instead of the region it changed. `per_point_sweep` is the former loop of
 `nohiding.run_sweep`, which simulated, reduced and validated each sweep point
 on its own, verbatim but for the name and the deleted `system_state` field.
 The property tests in test_oracles.py compare the library against them.
@@ -21,6 +23,55 @@ from nohidelab.nohiding import (
 from nohidelab.qmath import StateVector, distances_to_mixed, proportionality
 from nohidelab.tomo import tomo_pipeline
 from nohidelab.zx import ZXDiagram, apply_rule, evaluate
+
+
+def string_canonical_order(d: ZXDiagram) -> list[int]:
+    # Refined labels make the order a function of the graph alone (not of
+    # node ids), so relabeled diagrams contract identically bit for bit.
+    labels = {}
+    for nid, node in d.nodes.items():
+        if nid in d.inputs:
+            labels[nid] = f"in{d.inputs.index(nid)}"
+        elif nid in d.outputs:
+            labels[nid] = f"out{d.outputs.index(nid)}"
+        else:
+            phase = node.phase
+            labels[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
+    for _ in range(len(d.nodes)):
+        refined = {}
+        for nid in d.nodes:
+            neigh = ",".join(sorted(labels[m] for m in d.neighbors(nid)))
+            refined[nid] = f"{labels[nid]}({neigh})"
+        if len(set(refined.values())) == len(set(labels.values())):
+            labels = refined
+            break
+        labels = refined
+
+    # Breadth-first from the ordered boundaries keeps contraction local, so
+    # the number of simultaneously open tensor axes stays near the diagram
+    # width instead of its edge count.
+    order: list[int] = []
+    seen: set[int] = set()
+    queue: list[int] = []
+    for nid in list(d.inputs) + list(d.outputs):
+        seen.add(nid)
+        order.append(nid)
+        queue.append(nid)
+    while True:
+        while queue:
+            nid = queue.pop(0)
+            for m in sorted(d.neighbors(nid), key=lambda x: (labels[x], x)):
+                if m not in seen:
+                    seen.add(m)
+                    order.append(m)
+                    queue.append(m)
+        rest = [n for n in d.nodes if n not in seen]
+        if not rest:
+            return order
+        start = min(rest, key=lambda x: (labels[x], x))
+        seen.add(start)
+        order.append(start)
+        queue.append(start)
 
 
 def whole_scalar(before: ZXDiagram, after: ZXDiagram) -> complex | None:

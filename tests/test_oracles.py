@@ -32,6 +32,7 @@ from nohidelab.zx import (
     RuleApplicationError,
     ZXDiagram,
     ZXNode,
+    _canonical_order,
     _local_scalar,
     _local_sides,
     apply_rule,
@@ -43,7 +44,7 @@ from nohidelab.zx import (
 )
 
 from conftest import maximally_mixed, random_state
-from oracles import per_point_sweep, whole_diagram_scalar, whole_scalar
+from oracles import per_point_sweep, string_canonical_order, whole_diagram_scalar, whole_scalar
 from test_zx import planted_b2_diagram
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -242,6 +243,14 @@ def recoloured_diagrams(draw):
         if draw(st.booleans()):
             d = apply_rule(d, "C", (nid,))
     return d
+
+
+@PROPERTY
+@given(recoloured_diagrams())
+def test_canonical_order_matches_string_oracle(d):
+    # Integer ranks follow the order of the label strings they replace, so
+    # both refinements find the same classes and the BFS visits alike.
+    assert _canonical_order(d) == string_canonical_order(d)
 
 
 @PROPERTY

@@ -208,6 +208,22 @@ class TestEvaluate:
         assert np.abs(after - np.eye(2)).max() < 1e-12
         assert np.abs(before - np.eye(2)).max() < 1e-12
 
+    def test_permutations_do_not_change_bits(self, rng):
+        for _ in range(20):
+            c = random_circuit(rng)
+            d = circuit_to_zx(c)
+            ids = list(d.nodes)
+            shuffled = rng.permutation(np.arange(50, 50 + len(ids))).tolist()
+            mapping = dict(zip(ids, (int(x) for x in shuffled)))
+            d2 = ZXDiagram(
+                {mapping[k]: v for k, v in d.nodes.items()},
+                tuple((mapping[a], mapping[b]) for a, b in d.edges),
+                tuple(mapping[i] for i in d.inputs),
+                tuple(mapping[o] for o in d.outputs),
+            )
+            e1, e2 = evaluate(d), evaluate(d2)
+            assert np.array_equal(e1, e2)
+
 
 class TestTranslation:
     def test_empty_wire_connects_boundaries(self):
