@@ -213,7 +213,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of a - b."""
     _require_same_dims(a, b)
     w, _ = hermitian_eig(a.matrix - b.matrix)
-    return float(np.clip(0.5 * np.sum(np.abs(w)), 0.0, 1.0))
+    return min(max(float(0.5 * np.sum(np.abs(w))), 0.0), 1.0)
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -224,7 +224,7 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     inner = sa @ b.matrix @ sa
     w, _ = hermitian_eig(inner)
     w = np.where(w < SQRT_FLOOR, 0.0, w)
-    return float(np.clip(np.sum(np.sqrt(w)), 0.0, 1.0))
+    return min(max(float(np.sum(np.sqrt(w))), 0.0), 1.0)
 
 
 def fidelity_to_pure(rho: DensityMatrix, psi: StateVector) -> float:
@@ -249,7 +249,7 @@ def distances_to_mixed(rho: DensityMatrix) -> tuple[float, float]:
     t = 0.5 * np.sum(np.abs(w - 1.0 / d))
     scaled = w / d
     f = np.sum(np.sqrt(np.where(scaled < SQRT_FLOOR, 0.0, scaled)))
-    return float(np.clip(t, 0.0, 1.0)), float(np.clip(f, 0.0, 1.0))
+    return min(max(float(t), 0.0), 1.0), min(max(float(f), 0.0), 1.0)
 
 
 def _keep_list(keep: Sequence[int], num_qubits: int) -> list[int]:

@@ -5,9 +5,15 @@ Randomness contract: measure_shots draws from a PCG64 stream keyed by
 X -> 0, Y -> 1, Z -> 2 per qubit. The same (state, basis, shots, seed)
 therefore reproduces counts bit-exactly, and distinct bases of one
 tomography run consume independent substreams of the same seed.
+
+Count layout: the counts of one basis are the int64 array `multinomial`
+draws, of length 2^n. Entry i counts the outcome with the bits of i, qubit 0
+the most significant as in qmath; outcomes never seen keep their 0.
+Basis rotations, Pauli matrices and sign vectors are built once, read-only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +28,6 @@ from .qmath import (
     DensityMatrix,
     StateVector,
     fidelity,
-    kron,
     partial_trace,
     read_only_eig,
     trace_distance,
@@ -35,30 +40,16 @@ _S_DAGGER = np.diag([1, -1j]).astype(complex)
 _ROTATION = {"X": HADAMARD, "Y": HADAMARD @ _S_DAGGER, "Z": I2}
 
 
-@dataclass(frozen=True)
-class ShotCounts:
-    """Outcome histogram of one measurement basis."""
-
-    basis: str
-    shots: int
-    counts: dict[str, int]
-
-    def __post_init__(self):
-        if any(ch not in BASIS_CHARS for ch in self.basis) or not self.basis:
-            raise ValueError(f"invalid basis string {self.basis!r}")
-        n = len(self.basis)
-        for outcome in self.counts:
-            if len(outcome) != n or any(ch not in "01" for ch in outcome):
-                raise ValueError(f"outcome {outcome!r} does not match basis {self.basis!r}")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to the shot total")
+def _read_only_kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """A new read-only kron of `factors`, the first the most significant."""
+    m = np.array(functools.reduce(np.kron, factors))
+    m.flags.writeable = False
+    return m
 
 
+@functools.cache
 def _basis_rotation(basis: str) -> np.ndarray:
-    rot = _ROTATION[basis[0]]
-    for ch in basis[1:]:
-        rot = kron(rot, _ROTATION[ch])
-    return rot
+    return _read_only_kron([_ROTATION[ch] for ch in basis])
 
 
 def born_probabilities(state: DensityMatrix, basis: str) -> np.ndarray:
@@ -81,16 +72,12 @@ def _rng_for(seed: int, basis: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def measure_shots(state: DensityMatrix, basis: str, shots: int, seed: int) -> ShotCounts:
-    """Sample i.i.d. outcomes in the given Pauli basis; seed-deterministic."""
+def measure_shots(state: DensityMatrix, basis: str, shots: int, seed: int) -> np.ndarray:
+    """Counts of i.i.d. outcomes in the given Pauli basis, in the count layout."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = born_probabilities(state, basis)
-    rng = _rng_for(seed, basis)
-    drawn = rng.multinomial(shots, probs)
-    n = state.num_qubits
-    counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(drawn) if c > 0}
-    return ShotCounts(basis, shots, counts)
+    probs = born_probabilities(state, basis)  # validates the basis first
+    return _rng_for(seed, basis).multinomial(shots, probs)
 
 
 def pauli_strings(num_qubits: int) -> list[str]:
@@ -101,11 +88,18 @@ def pauli_strings(num_qubits: int) -> list[str]:
     ]
 
 
+@functools.cache
 def pauli_matrix(pauli: str) -> np.ndarray:
-    m = PAULIS[pauli[0]]
-    for ch in pauli[1:]:
-        m = kron(m, PAULIS[ch])
-    return m
+    """The read-only matrix of a Pauli string such as "XI"; built once."""
+    if not pauli or any(ch not in PAULIS for ch in pauli):
+        raise ValueError(f"invalid Pauli string {pauli!r}")
+    return _read_only_kron([PAULIS[ch] for ch in pauli])
+
+
+@functools.cache
+def _sign_vector(pauli: str) -> np.ndarray:
+    """The eigenvalue, +1 or -1, of `pauli` on each outcome; I ignores its qubit."""
+    return _read_only_kron([np.array([1, 1 if ch == "I" else -1]) for ch in pauli])
 
 
 def exact_expectations(state: DensityMatrix) -> dict[str, float]:
@@ -116,23 +110,22 @@ def exact_expectations(state: DensityMatrix) -> dict[str, float]:
 
 
 def estimate_expectations(
-    counts_by_basis: Mapping[str, ShotCounts], num_qubits: int
+    counts_by_basis: Mapping[str, np.ndarray], num_qubits: int
 ) -> dict[str, float]:
-    """Estimate every non-identity Pauli from full-basis shot counts.
+    """Estimate every non-identity Pauli from full-basis count arrays.
 
-    A Pauli containing I reuses the measured basis with I replaced by Z and
-    takes the parity only over its non-identity positions.
+    A Pauli containing I reuses the measured basis with I replaced by Z; its
+    sign vector ignores the identity positions.
     """
     out: dict[str, float] = {}
     for pauli in pauli_strings(num_qubits):
         meas = pauli.replace("I", "Z")
-        sc = counts_by_basis[meas]
-        positions = [i for i, ch in enumerate(pauli) if ch != "I"]
-        total = 0
-        for outcome, c in sc.counts.items():
-            parity = sum(outcome[i] == "1" for i in positions) % 2
-            total += -c if parity else c
-        out[pauli] = total / sc.shots
+        counts = counts_by_basis[meas]
+        if counts.shape != (2 ** num_qubits,):
+            raise ValueError(f"counts of basis {meas!r} have shape {counts.shape}")
+        # Python's int / int is exactly rounded at any shot total; int64 / int64
+        # in numpy goes through float64 and rounds twice beyond 2^53.
+        out[pauli] = int(_sign_vector(pauli) @ counts) / int(counts.sum())
     return out
 
 
@@ -246,6 +239,6 @@ def report_dict(result: TomoResult) -> dict:
         "raw_min_eigenvalue": result.raw.min_eigenvalue,
         "fidelity": fidelity(phys, result.reduced),
         "trace_distance": trace_distance(phys, result.reduced),
-        "matrix_re": [[float(x) for x in row] for row in phys.matrix.real],
-        "matrix_im": [[float(x) for x in row] for row in phys.matrix.imag],
+        "matrix_re": phys.matrix.real,
+        "matrix_im": phys.matrix.imag,
     }

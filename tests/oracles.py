@@ -7,11 +7,15 @@ colour refinement it checks. `whole_diagram_scalar` is the former check of
 a rewrite instead of the region it changed. `per_point_sweep` is the former loop of
 `nohiding.run_sweep`, which simulated, reduced and validated each sweep point
 on its own, verbatim but for the name and the deleted `system_state` field.
+`string_estimate_expectations` is the former `tomo.estimate_expectations`,
+verbatim but for the name: it reads bitstring-keyed count dicts, held in
+`ShotCounts` (the fields of the former `tomo.ShotCounts`, unvalidated), and
+takes each parity character by character.
 The property tests in test_oracles.py compare the library against them.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from nohidelab.circuits import run_statevector
 from nohidelab.nohiding import (
@@ -21,7 +25,7 @@ from nohidelab.nohiding import (
     default_input_state,
 )
 from nohidelab.qmath import StateVector, distances_to_mixed, proportionality
-from nohidelab.tomo import tomo_pipeline
+from nohidelab.tomo import pauli_strings, tomo_pipeline
 from nohidelab.zx import ZXDiagram, apply_rule, evaluate
 
 
@@ -113,3 +117,32 @@ def per_point_sweep(
             seed=entry_seed,
         ))
     return records
+
+
+class ShotCounts(NamedTuple):
+    """Outcome histogram of one measurement basis, keyed by bitstring."""
+
+    basis: str
+    shots: int
+    counts: dict[str, int]
+
+
+def string_estimate_expectations(
+    counts_by_basis: Mapping[str, ShotCounts], num_qubits: int
+) -> dict[str, float]:
+    """Estimate every non-identity Pauli from full-basis shot counts.
+
+    A Pauli containing I reuses the measured basis with I replaced by Z and
+    takes the parity only over its non-identity positions.
+    """
+    out: dict[str, float] = {}
+    for pauli in pauli_strings(num_qubits):
+        meas = pauli.replace("I", "Z")
+        sc = counts_by_basis[meas]
+        positions = [i for i, ch in enumerate(pauli) if ch != "I"]
+        total = 0
+        for outcome, c in sc.counts.items():
+            parity = sum(outcome[i] == "1" for i in positions) % 2
+            total += -c if parity else c
+        out[pauli] = total / sc.shots
+    return out

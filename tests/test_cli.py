@@ -67,6 +67,16 @@ class TestPerfect:
         assert 0.9 < tomo_report["fidelity"] <= 1.0
         assert tomo_report["fidelity"] != 1.0  # sampled, not exact
 
+    # eq6 at 5 shots leaves most outcomes of each basis at zero counts.
+    @pytest.mark.parametrize("golden, argv", [
+        ("perfect_golden_eq2.json", ["--variant", "eq2", "--shots", "8192", "--seed", "3"]),
+        ("perfect_golden_eq6_sparse.json", ["--variant", "eq6", "--shots", "5", "--seed", "2"]),
+    ])
+    def test_shot_run_matches_golden_bytes(self, tmp_path, capsys, golden, argv):
+        out = tmp_path / "perfect.json"
+        assert run_cli(["perfect"] + argv + ["--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
+
 
 class TestImperfect:
     def test_shot_sweep_matches_golden_bytes(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nohidelab.circuits import Circuit, Gate, circuit_unitary, gate_matrix
+from nohidelab.cli import SHOTS_MAX
 from nohidelab.nohiding import DEFAULT_SWEEP_GRID, run_sweep
 from nohidelab.qmath import (
     HADAMARD,
@@ -26,6 +27,7 @@ from nohidelab.qmath import (
     partial_trace_matrix,
     trace_distance,
 )
+from nohidelab.tomo import estimate_expectations
 from nohidelab.zx import (
     RULES,
     TRANSLATABLE_GATES,
@@ -44,7 +46,14 @@ from nohidelab.zx import (
 )
 
 from conftest import maximally_mixed, random_state
-from oracles import per_point_sweep, string_canonical_order, whole_diagram_scalar, whole_scalar
+from oracles import (
+    ShotCounts,
+    per_point_sweep,
+    string_canonical_order,
+    string_estimate_expectations,
+    whole_diagram_scalar,
+    whole_scalar,
+)
 from test_zx import planted_b2_diagram
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -465,3 +474,38 @@ def test_stacked_eigensolve_matches_single_calls_bitwise(matrices):
         single_w, single_v = hermitian_eig(m)
         assert w[i].tobytes() == single_w.tobytes()
         assert v[i].tobytes() == single_v.tobytes()
+
+
+@st.composite
+def count_arrays(draw, num_qubits):
+    """Counts of 2^num_qubits outcomes summing to a total in [1, SHOTS_MAX];
+    coinciding cuts leave zeros. Drawing the total's power-of-two octave first
+    makes totals past 2^53, where float64 division rounds, more than the bound."""
+    octave = draw(st.integers(0, SHOTS_MAX.bit_length() - 1))
+    total = draw(st.integers(2 ** octave, min(2 ** (octave + 1) - 1, SHOTS_MAX)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=2 ** num_qubits - 1,
+                                max_size=2 ** num_qubits - 1)))
+    return np.diff([0, *cuts, total]).astype(np.int64)
+
+
+@st.composite
+def counts_by_basis(draw):
+    n = draw(st.sampled_from([1, 2]))
+    bases = ["".join(b) for b in itertools.product("XYZ", repeat=n)]
+    return n, {b: draw(count_arrays(n)) for b in bases}
+
+
+@PROPERTY
+@given(counts_by_basis())
+def test_array_estimator_matches_string_oracle_exactly(case):
+    n, counts = case
+    as_strings = {
+        b: ShotCounts(b, int(c.sum()), {format(i, f"0{n}b"): int(x)
+                                        for i, x in enumerate(c.tolist()) if x > 0})
+        for b, c in counts.items()
+    }
+    ours = estimate_expectations(counts, n)
+    oracle = string_estimate_expectations(as_strings, n)
+    assert list(ours) == list(oracle)
+    for pauli, value in oracle.items():
+        assert ours[pauli] == value, pauli

@@ -7,7 +7,6 @@ import pytest
 from nohidelab import nohiding, qmath, tomo
 from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 from nohidelab.tomo import (
-    ShotCounts,
     TomogramRaw,
     estimate_expectations,
     exact_expectations,
@@ -28,50 +27,50 @@ def tilted_state() -> StateVector:
     return StateVector(1, np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
 
 
-def parities(counts: ShotCounts) -> dict[str, float]:
+def parities(counts: list[int]) -> dict[str, float]:
     """estimate_expectations with `counts` standing in for every basis of its size."""
-    n = len(counts.basis)
+    n = int(math.log2(len(counts)))
     bases = ("".join(b) for b in itertools.product("XYZ", repeat=n))
-    return estimate_expectations({b: ShotCounts(b, counts.shots, counts.counts)
-                                  for b in bases}, n)
+    return estimate_expectations({b: np.array(counts) for b in bases}, n)
 
 
 class TestMeasureShots:
     def test_eigenstate_gives_single_outcome(self):
         counts = measure_shots(StateVector.ket("0").to_density(), "Z", 500, 1)
-        assert counts.counts == {"0": 500}
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [500, 0]
 
     def test_plus_state_z_within_5_sigma(self):
         counts = measure_shots(plus_state(), "Z", 8192, 11)
-        freq = counts.counts.get("0", 0) / 8192
+        freq = counts[0] / 8192
         sigma = math.sqrt(0.25 / 8192)
         assert abs(freq - 0.5) < 5 * sigma
 
     def test_z_expectation_of_tilted_state(self):
         counts = measure_shots(tilted_state().to_density(), "Z", 8192, 3)
-        est = parities(counts)["Z"]
+        est = parities(counts.tolist())["Z"]
         sigma = math.sqrt(1.0 / 8192)
         assert abs(est - math.cos(math.pi / 4)) < 5 * sigma
 
     def test_y_eigenstate_measures_plus_in_y_basis(self):
         plus_i = StateVector.from_amplitudes(np.array([1, 1j]) / math.sqrt(2))
         counts = measure_shots(plus_i.to_density(), "Y", 200, 5)
-        assert counts.counts == {"0": 200}
+        assert counts.tolist() == [200, 0]
 
     def test_x_eigenstate_measures_plus_in_x_basis(self):
         counts = measure_shots(plus_state(), "X", 200, 5)
-        assert counts.counts == {"0": 200}
+        assert counts.tolist() == [200, 0]
 
     def test_deterministic_for_fixed_seed(self):
         a = measure_shots(plus_state(), "Z", 2048, 42)
         b = measure_shots(plus_state(), "Z", 2048, 42)
-        assert a.counts == b.counts
+        assert a.tolist() == b.tolist()
 
     def test_distinct_bases_use_distinct_streams(self):
         rho = tilted_state().to_density()
         a = measure_shots(rho, "Z", 4096, 42)
         b = measure_shots(rho, "X", 4096, 42)
-        assert a.counts != b.counts
+        assert a.tolist() != b.tolist()
 
     def test_invalid_basis_rejected(self):
         with pytest.raises(ValueError, match="basis"):
@@ -83,23 +82,66 @@ class TestMeasureShots:
         with pytest.raises(ValueError, match="shots"):
             measure_shots(plus_state(), "Z", 0, 0)
 
+    def test_zero_outcomes_kept_in_index_order(self):
+        counts = measure_shots(StateVector.ket("01").to_density(), "ZZ", 300, 7)
+        assert counts.tolist() == [0, 300, 0, 0]  # |01> is index 1: qubit 0 is the MSB
+
+    def test_counts_sum_to_shots(self, rng):
+        counts = measure_shots(random_density(rng, 2), "XY", 1001, 3)
+        assert counts.shape == (4,) and int(counts.sum()) == 1001
+
+
+class TestCachedOperators:
+    def test_shared_and_read_only(self):
+        for build, key in ((tomo.pauli_matrix, "XZ"), (tomo.pauli_matrix, "Y"),
+                           (tomo._basis_rotation, "YX"), (tomo._basis_rotation, "Z"),
+                           (tomo._sign_vector, "IZ")):
+            m = build(key)
+            assert build(key) is m
+            assert not m.flags.writeable
+
+    def test_shared_qmath_constants_stay_writeable(self):
+        tomo.pauli_matrix("X")
+        tomo._basis_rotation("X")
+        tomo._basis_rotation("Z")
+        assert tomo.pauli_matrix("I") is not qmath.I2
+        for m in (qmath.PAULIS["X"], qmath.HADAMARD, qmath.I2):
+            assert m.flags.writeable
+
+    def test_invalid_pauli_rejected_and_not_cached(self):
+        size = tomo.pauli_matrix.cache_info().currsize
+        for bad in ("", "Q", "xz"):
+            with pytest.raises(ValueError, match="invalid Pauli string"):
+                tomo.pauli_matrix(bad)
+        assert tomo.pauli_matrix.cache_info().currsize == size
+
 
 class TestExpectation:
     def test_all_zero_counts(self):
-        assert parities(ShotCounts("Z", 10, {"0": 10}))["Z"] == 1.0
+        assert parities([10, 0])["Z"] == 1.0
 
     def test_even_split_is_zero(self):
-        assert parities(ShotCounts("Z", 10, {"0": 5, "1": 5}))["Z"] == 0.0
+        assert parities([5, 5])["Z"] == 0.0
 
     def test_two_qubit_even_parity(self):
-        est = parities(ShotCounts("ZZ", 1024, {"00": 512, "11": 512}))
+        est = parities([512, 0, 0, 512])
         assert est["ZZ"] == 1.0
         assert est["ZI"] == est["IZ"] == 0.0
 
     def test_odd_parity_counts_negative(self):
-        est = parities(ShotCounts("ZZ", 4, {"01": 2, "10": 2}))
+        est = parities([0, 2, 2, 0])
         assert est["ZZ"] == -1.0
         assert est["ZI"] == est["IZ"] == 0.0
+
+    def test_qubit_0_is_the_most_significant_bit(self):
+        est = parities([0, 0, 3, 1])  # qubit 0 always reads 1, qubit 1 mostly 0
+        assert est["ZI"] == -1.0
+        assert est["IZ"] == 0.5
+
+    def test_wrong_length_rejected(self):
+        counts = {b: np.array([1, 0, 0, 0]) for b in ("X", "Y", "Z")}
+        with pytest.raises(ValueError, match="counts of basis 'X' have shape"):
+            estimate_expectations(counts, 1)
 
 
 class TestReconstruct:
