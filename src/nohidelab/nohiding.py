@@ -208,8 +208,8 @@ def run_perfect(
         inp = psi.tensor(StateVector.ket("00"))
     final = run_statevector(circuit, inp)
 
-    bell_tomo = tomo_pipeline(final, variant.bell_pair, shots, seed)
-    transfer_tomo = tomo_pipeline(final, [variant.transfer_qubit], shots, seed)
+    (bell_tomo,) = tomo_pipeline([final], variant.bell_pair, shots, seed)
+    (transfer_tomo,) = tomo_pipeline([final], [variant.transfer_qubit], shots, seed)
     bell_fid = fidelity_to_pure(bell_tomo.reduced, StateVector(2, variant.bell_state))
     transfer_fid = fidelity_to_pure(transfer_tomo.reduced, psi)
     return PerfectResult(
@@ -333,8 +333,9 @@ def run_sweep(
     psi (x) |0> (x) u3(theta_p)|0> (x) |0> form one (P, 2, 2, 2, 2) stack that
     the p-independent gates evolve together. The system states on the
     readout wire are reduced by one M M^dagger over the stack and validated
-    by one stacked eigensolve; tomography then runs per point, on the
-    stream of its entry seed. `build_imperfect_circuit(p)` is the per-point
+    by one stacked eigensolve. Tomography then samples each point on the
+    streams of its entry seed and reconstructs, validates and projects all
+    points as one stack. `build_imperfect_circuit(p)` is the per-point
     circuit this reproduces.
     """
     dilutions = [_dilution_gate(p) for p in p_values]
@@ -351,13 +352,11 @@ def run_sweep(
                             inputs.reshape((len(dilutions),) + (2,) * 4))
     m = np.moveaxis(final, 1 + _IMPERFECT_SYSTEM_WIRE, 1).reshape(len(dilutions), 2, 8)
     systems = DensityMatrix.stack(1, m @ m.conj().swapaxes(1, 2))
-    records = []
-    for index, (p, system) in enumerate(zip(p_values, systems)):
-        entry_seed = seed + index
-        tomo = tomo_pipeline(system, [0], shots, entry_seed)
-        t_exact, f_exact = distances_to_mixed(system)
-        t_tomo, f_tomo = distances_to_mixed(tomo.physical)
-        records.append(ExperimentRecord(
+    tomos = tomo_pipeline(systems, [0], shots, seed)
+    exact = distances_to_mixed(systems)
+    measured = distances_to_mixed([t.physical for t in tomos])
+    return [
+        ExperimentRecord(
             p=float(p),
             trace_distance_to_mixed=t_exact,
             fidelity_to_mixed=f_exact,
@@ -365,9 +364,11 @@ def run_sweep(
             trace_distance_tomo=t_tomo,
             fidelity_tomo=f_tomo,
             raw_min_eigenvalue=tomo.raw.min_eigenvalue,
-            seed=entry_seed,
-        ))
-    return records
+            seed=seed + index,
+        )
+        for index, (p, tomo, (t_exact, f_exact), (t_tomo, f_tomo))
+        in enumerate(zip(p_values, tomos, exact, measured))
+    ]
 
 
 SWEEP_FIELDS = (
@@ -401,7 +402,7 @@ def bleaching_check(tag: str, psi: StateVector) -> float:
     """Trace distance of the erased system from I/2 (should be 0)."""
     circuit = build_erasure_circuit(tag)
     out = run_statevector(circuit, psi.tensor(StateVector.ket("00")))
-    return distances_to_mixed(partial_trace(out, [0]))[0]
+    return distances_to_mixed([partial_trace(out, [0])])[0][0]
 
 
 def channel_identity_error(p: float) -> float:

@@ -164,18 +164,27 @@ class DensityMatrix:
         one stacked eigensolve; each keeps read-only views of its slice of the
         stacked spectrum, and its matrix is a view of the stack."""
         m = np.asarray(matrices, dtype=complex)
-        w, v = _density_spectra(m, num_qubits, stacked=True)
-        states = []
-        for i in range(len(m)):
-            rho = object.__new__(cls)
-            object.__setattr__(rho, "num_qubits", num_qubits)
-            object.__setattr__(rho, "matrix", m[i])
-            object.__setattr__(rho, "spectrum", (w[i], v[i]))
-            states.append(rho)
-        return states
+        spectra = _density_spectra(m, num_qubits, stacked=True)
+        return stack_members(cls, m, spectra, num_qubits=num_qubits)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
+
+
+def stack_members(cls, m: np.ndarray, spectra: tuple[np.ndarray, np.ndarray], **fields) -> list:
+    """One frozen `cls` per matrix of the validated stack `m`, built without
+    running its validation again: each gets `fields`, its matrix as a view of
+    the stack, and read-only views of its slice of the stacked `spectra`."""
+    w, v = spectra
+    members = []
+    for i in range(len(m)):
+        member = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(member, name, value)
+        object.__setattr__(member, "matrix", m[i])
+        object.__setattr__(member, "spectrum", (w[i], v[i]))
+        members.append(member)
+    return members
 
 
 def _density_spectra(
@@ -238,18 +247,19 @@ def fidelity_to_pure(rho: DensityMatrix, psi: StateVector) -> float:
     return min(math.sqrt(overlap), 1.0) if overlap >= SQRT_FLOOR else 0.0
 
 
-def distances_to_mixed(rho: DensityMatrix) -> tuple[float, float]:
-    """Trace distance and fidelity of `rho` to I/d, read from its spectrum.
+def distances_to_mixed(states: Sequence[DensityMatrix]) -> list[tuple[float, float]]:
+    """Trace distance and fidelity of each state to I/d, read from the
+    stacked spectra of states of one size.
 
     I/d commutes with rho, so T = 1/2 sum |w - 1/d| and F = sum sqrt(w/d)
     over the eigenvalues w of rho, with the floor and clip of `fidelity`.
     """
-    w = rho.spectrum[0]
-    d = len(w)
-    t = 0.5 * np.sum(np.abs(w - 1.0 / d))
+    w = np.array([rho.spectrum[0] for rho in states])
+    d = w.shape[-1]
+    t = 0.5 * np.sum(np.abs(w - 1.0 / d), axis=-1)
     scaled = w / d
-    f = np.sum(np.sqrt(np.where(scaled < SQRT_FLOOR, 0.0, scaled)))
-    return min(max(float(t), 0.0), 1.0), min(max(float(f), 0.0), 1.0)
+    f = np.sum(np.sqrt(np.where(scaled < SQRT_FLOOR, 0.0, scaled)), axis=-1)
+    return list(zip(np.clip(t, 0.0, 1.0).tolist(), np.clip(f, 0.0, 1.0).tolist()))
 
 
 def _keep_list(keep: Sequence[int], num_qubits: int) -> list[int]:

@@ -1,14 +1,20 @@
 """Shot-sampled measurement, Pauli estimation, and linear-inversion tomography.
 
+Every step works on a stack of P states of one size, so the states of a
+sweep are reconstructed, validated and projected together; a single state
+is the stack of one.
+
 Randomness contract: measure_shots draws from a PCG64 stream keyed by
 (seed, basis), where the basis string maps to a SeedSequence spawn key via
 X -> 0, Y -> 1, Z -> 2 per qubit. The same (state, basis, shots, seed)
 therefore reproduces counts bit-exactly, and distinct bases of one
-tomography run consume independent substreams of the same seed.
+tomography run consume independent substreams of the same seed. State i of
+a stack draws on the streams of seed + i.
 
 Count layout: the counts of one basis are the int64 array `multinomial`
 draws, of length 2^n. Entry i counts the outcome with the bits of i, qubit 0
-the most significant as in qmath; outcomes never seen keep their 0.
+the most significant as in qmath; outcomes never seen keep their 0. A stack
+of P states has a (P, 2^n) count array per basis.
 Basis rotations, Pauli matrices and sign vectors are built once, read-only.
 """
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .qmath import (
     fidelity,
     partial_trace,
     read_only_eig,
+    stack_members,
     trace_distance,
 )
 
@@ -48,23 +55,27 @@ def _read_only_kron(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 @functools.cache
-def _basis_rotation(basis: str) -> np.ndarray:
-    return _read_only_kron([_ROTATION[ch] for ch in basis])
+def _bases(num_qubits: int) -> tuple[str, ...]:
+    """The 3^n measurement bases of n qubits, in product order."""
+    return tuple("".join(b) for b in itertools.product(BASIS_CHARS, repeat=num_qubits))
 
 
-def born_probabilities(state: DensityMatrix, basis: str) -> np.ndarray:
-    """Outcome probabilities after rotating each qubit into `basis`."""
-    if len(basis) != state.num_qubits:
-        raise ValueError(
-            f"basis {basis!r} does not match a {state.num_qubits}-qubit state"
-        )
-    for ch in basis:
-        if ch not in BASIS_CHARS:
-            raise ValueError(f"invalid basis character {ch!r}")
-    rot = _basis_rotation(basis)
-    probs = np.real(np.diag(rot @ state.matrix @ rot.conj().T))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+@functools.cache
+def _basis_rotations(num_qubits: int) -> np.ndarray:
+    """The read-only (3^n, 2^n, 2^n) stack of rotations into each of `_bases`."""
+    m = np.array([functools.reduce(np.kron, [_ROTATION[ch] for ch in basis])
+                  for basis in _bases(num_qubits)])
+    m.flags.writeable = False
+    return m
+
+
+def born_probabilities(matrices: np.ndarray) -> np.ndarray:
+    """(P, 3^n, 2^n) outcome probabilities of each state of a (P, 2^n, 2^n)
+    stack after rotating each qubit into each basis of `_bases`."""
+    rots = _basis_rotations(int(math.log2(matrices.shape[-1])))
+    rotated = rots @ matrices[:, None] @ rots.conj().swapaxes(-1, -2)
+    probs = np.clip(np.real(np.diagonal(rotated, axis1=-2, axis2=-1)), 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _rng_for(seed: int, basis: str) -> np.random.Generator:
@@ -72,11 +83,18 @@ def _rng_for(seed: int, basis: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def measure_shots(state: DensityMatrix, basis: str, shots: int, seed: int) -> np.ndarray:
-    """Counts of i.i.d. outcomes in the given Pauli basis, in the count layout."""
+def measure_shots(probs: np.ndarray, basis: str, shots: int, seed: int) -> np.ndarray:
+    """Counts of i.i.d. outcomes with the Born probabilities `probs` of
+    `basis`, drawn on the (seed, basis) stream, in the count layout."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = born_probabilities(state, basis)  # validates the basis first
+    if 2 ** len(basis) != len(probs):
+        raise ValueError(
+            f"basis {basis!r} does not match a {int(math.log2(len(probs)))}-qubit state"
+        )
+    for ch in basis:
+        if ch not in BASIS_CHARS:
+            raise ValueError(f"invalid basis character {ch!r}")
     return _rng_for(seed, basis).multinomial(shots, probs)
 
 
@@ -102,31 +120,45 @@ def _sign_vector(pauli: str) -> np.ndarray:
     return _read_only_kron([np.array([1, 1 if ch == "I" else -1]) for ch in pauli])
 
 
-def exact_expectations(state: DensityMatrix) -> dict[str, float]:
+def exact_expectations(matrices: np.ndarray) -> dict[str, np.ndarray]:
+    """The (P,) expectations of every non-identity Pauli over a (P, d, d) stack."""
     return {
-        p: float(np.trace(pauli_matrix(p) @ state.matrix).real)
-        for p in pauli_strings(state.num_qubits)
+        p: np.trace(pauli_matrix(p) @ matrices, axis1=-2, axis2=-1).real
+        for p in pauli_strings(int(math.log2(matrices.shape[-1])))
     }
 
 
 def estimate_expectations(
     counts_by_basis: Mapping[str, np.ndarray], num_qubits: int
-) -> dict[str, float]:
-    """Estimate every non-identity Pauli from full-basis count arrays.
+) -> dict[str, np.ndarray]:
+    """Estimate every non-identity Pauli, (P,) values, from full-basis (P, 2^n)
+    count arrays.
 
     A Pauli containing I reuses the measured basis with I replaced by Z; its
     sign vector ignores the identity positions.
     """
-    out: dict[str, float] = {}
-    for pauli in pauli_strings(num_qubits):
+    paulis = pauli_strings(num_qubits)
+    values = []
+    for pauli in paulis:
         meas = pauli.replace("I", "Z")
         counts = counts_by_basis[meas]
-        if counts.shape != (2 ** num_qubits,):
+        if counts.ndim != 2 or counts.shape[1] != 2 ** num_qubits:
             raise ValueError(f"counts of basis {meas!r} have shape {counts.shape}")
         # Python's int / int is exactly rounded at any shot total; int64 / int64
         # in numpy goes through float64 and rounds twice beyond 2^53.
-        out[pauli] = int(_sign_vector(pauli) @ counts) / int(counts.sum())
-    return out
+        signed = (counts @ _sign_vector(pauli)).tolist()
+        values.append([s / t for s, t in zip(signed, counts.sum(axis=1).tolist())])
+    return dict(zip(paulis, np.array(values)))
+
+
+def _raw_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only spectrum of a raw tomogram, or the stacked spectra of a
+    stack. Raises ValueError unless every matrix is Hermitian and unit trace."""
+    spectrum = read_only_eig(m, tol=1e-9)
+    for tr in np.trace(m, axis1=-2, axis2=-1).reshape(-1):
+        if abs(tr - 1.0) > 1e-9:
+            raise ValueError(f"raw tomogram trace {complex(tr)!r} differs from 1")
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -143,11 +175,16 @@ class TomogramRaw:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        spectrum = read_only_eig(m, tol=1e-9)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"raw tomogram trace {tr!r} differs from 1")
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "spectrum", _raw_spectra(m))
+
+    @classmethod
+    def stack(cls, matrices: np.ndarray) -> list["TomogramRaw"]:
+        """One TomogramRaw per matrix of a (P, d, d) stack, all validated by
+        one stacked eigensolve, as `DensityMatrix.stack`."""
+        m = np.asarray(matrices, dtype=complex)
+        if m.ndim != 3:
+            raise ValueError(f"expected a stack of matrices, got shape {m.shape}")
+        return stack_members(cls, m, _raw_spectra(m))
 
     @property
     def min_eigenvalue(self) -> float:
@@ -158,8 +195,9 @@ class TomogramRaw:
         return int(round(math.log2(self.matrix.shape[0])))
 
 
-def reconstruct(expectations: Mapping[str, float], num_qubits: int) -> TomogramRaw:
-    """Linear inversion rho = (I + sum <P> P) / 2^n from Pauli expectations."""
+def reconstruct(expectations: Mapping[str, np.ndarray], num_qubits: int) -> list[TomogramRaw]:
+    """Linear inversion rho = (I + sum <P> P) / 2^n of each point of a stack,
+    from the (P,) expectations of every Pauli."""
     if num_qubits not in (1, 2):
         raise ValueError(f"reconstruction supports 1 or 2 qubits, got {num_qubits}")
     dim = 2 ** num_qubits
@@ -167,32 +205,37 @@ def reconstruct(expectations: Mapping[str, float], num_qubits: int) -> TomogramR
     for pauli in pauli_strings(num_qubits):
         if pauli not in expectations:
             raise ValueError(f"missing expectation for Pauli {pauli!r}")
-        rho = rho + expectations[pauli] * pauli_matrix(pauli)
+        rho = rho + expectations[pauli][:, None, None] * pauli_matrix(pauli)
     rho /= dim
-    return TomogramRaw(rho)
+    return TomogramRaw.stack(rho)
 
 
-def project_physical(raw: TomogramRaw) -> DensityMatrix:
-    """Closest PSD unit-trace matrix in Frobenius norm.
+def project_physical(raws: Sequence[TomogramRaw]) -> list[DensityMatrix]:
+    """Closest PSD unit-trace matrix in Frobenius norm to each raw tomogram of
+    a stack, all validated by one stacked eigensolve.
 
     Eigenvalue truncation: walk the spectrum from the most negative value,
     zero it, and spread the deficit uniformly over the eigenvalues still in
-    play; stop once the smallest survivor stays nonnegative.
+    play; stop once the smallest survivor stays nonnegative. The walk is
+    vectorised over the stack: the deficit carried into index i is the sum
+    of the eigenvalues after it, and the walk keeps indices 0..k for the
+    largest k whose level w_k + deficit_k / (k + 1) is nonnegative. Index 0
+    always qualifies, as its level is the trace.
     """
-    w, v = raw.spectrum  # descending
-    d = len(w)
-    out = np.zeros(d)
-    acc = 0.0
-    for i in range(d - 1, -1, -1):
-        if w[i] + acc / (i + 1) < 0.0:
-            acc += w[i]
-            out[i] = 0.0
-        else:
-            out[: i + 1] = w[: i + 1] + acc / (i + 1)
-            break
-    fixed = v @ np.diag(out.astype(complex)) @ v.conj().T
-    fixed = (fixed + fixed.conj().T) / 2.0
-    return DensityMatrix(raw.num_qubits, fixed)
+    w = np.array([raw.spectrum[0] for raw in raws])  # descending
+    v = np.array([raw.spectrum[1] for raw in raws])
+    points, d = w.shape
+    deficit = np.zeros((points, d))
+    deficit[:, :-1] = w[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    level = w + deficit / np.arange(1, d + 1)
+    kept = d - (level[:, ::-1] >= 0.0).argmax(axis=1)
+    shift = deficit[np.arange(points), kept - 1] / kept
+    out = np.where(np.arange(d) < kept[:, None], w + shift[:, None], 0.0)
+    diag = np.zeros((points, d, d), dtype=complex)
+    diag[:, np.arange(d), np.arange(d)] = out
+    fixed = v @ diag @ v.conj().swapaxes(-1, -2)
+    fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
+    return DensityMatrix.stack(raws[0].num_qubits, fixed)
 
 
 class TomoResult(NamedTuple):
@@ -204,12 +247,13 @@ class TomoResult(NamedTuple):
 
 
 def tomo_pipeline(
-    state: StateVector | DensityMatrix,
+    states: Sequence[StateVector | DensityMatrix],
     qubits: Sequence[int],
     shots: int | None,
     seed: int = 0,
-) -> TomoResult:
-    """Measure, reconstruct, and project the reduced state on `qubits`.
+) -> list[TomoResult]:
+    """Measure, reconstruct, and project the reduced state on `qubits` of each
+    state, all as one stack; state i draws on the streams of seed + i.
 
     shots=None is the exact mode: sampling is bypassed and the exact Pauli
     expectations feed the reconstruction directly.
@@ -217,19 +261,21 @@ def tomo_pipeline(
     qubits = list(qubits)
     if not 1 <= len(qubits) <= 2:
         raise ValueError("tomography supports 1 or 2 qubits")
-    reduced = partial_trace(state, qubits)
-    n = reduced.num_qubits
+    reduced = [partial_trace(state, qubits) for state in states]
+    n = len(qubits)
+    matrices = np.array([rho.matrix for rho in reduced])
     if shots is None:
-        expectations = exact_expectations(reduced)
+        expectations = exact_expectations(matrices)
     else:
+        probs = born_probabilities(matrices)
         counts_by_basis = {
-            "".join(b): measure_shots(reduced, "".join(b), shots, seed)
-            for b in itertools.product(BASIS_CHARS, repeat=n)
+            basis: np.array([measure_shots(point[b], basis, shots, seed + i)
+                             for i, point in enumerate(probs)])
+            for b, basis in enumerate(_bases(n))
         }
         expectations = estimate_expectations(counts_by_basis, n)
-    raw = reconstruct(expectations, n)
-    physical = project_physical(raw)
-    return TomoResult(raw, physical, reduced)
+    raws = reconstruct(expectations, n)
+    return [TomoResult(*t) for t in zip(raws, project_physical(raws), reduced)]
 
 
 def report_dict(result: TomoResult) -> dict:

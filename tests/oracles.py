@@ -5,8 +5,12 @@ verbatim but for the name, so the oracle shares no code with the integer
 colour refinement it checks. `whole_diagram_scalar` is the former check of
 `zx.apply_rule_checked`, which contracted the whole diagram on both sides of
 a rewrite instead of the region it changed. `per_point_sweep` is the former loop of
-`nohiding.run_sweep`, which simulated, reduced and validated each sweep point
-on its own, verbatim but for the name and the deleted `system_state` field.
+`nohiding.run_sweep`, which simulated, reduced, validated and tomographed each
+sweep point on its own, verbatim but for the name, the deleted `system_state`
+field and the `per_matrix_` and `single_` kernels it calls. Those are the former
+single-matrix tomography of `tomo` (Born probabilities, sampling, estimation,
+`TomogramRaw` validation, reconstruction, projection and the pipeline) and the
+former single-state `qmath.distances_to_mixed`, verbatim but for the names.
 `string_estimate_expectations` is the former `tomo.estimate_expectations`,
 verbatim but for the name: it reads bitstring-keyed count dicts, held in
 `ShotCounts` (the fields of the former `tomo.ShotCounts`, unvalidated), and
@@ -15,7 +19,13 @@ The property tests in test_oracles.py compare the library against them.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from nohidelab.circuits import run_statevector
 from nohidelab.nohiding import (
@@ -24,8 +34,23 @@ from nohidelab.nohiding import (
     build_imperfect_circuit,
     default_input_state,
 )
-from nohidelab.qmath import StateVector, distances_to_mixed, proportionality
-from nohidelab.tomo import pauli_strings, tomo_pipeline
+from nohidelab.qmath import (
+    SQRT_FLOOR,
+    DensityMatrix,
+    StateVector,
+    partial_trace,
+    proportionality,
+    read_only_eig,
+)
+from nohidelab.tomo import (
+    _ROTATION,
+    BASIS_CHARS,
+    TomoResult,
+    _rng_for,
+    _sign_vector,
+    pauli_matrix,
+    pauli_strings,
+)
 from nohidelab.zx import ZXDiagram, apply_rule, evaluate
 
 
@@ -102,10 +127,10 @@ def per_point_sweep(
     for index, p in enumerate(p_values):
         entry_seed = seed + index
         final = run_statevector(build_imperfect_circuit(p), inp)
-        tomo = tomo_pipeline(final, [_IMPERFECT_SYSTEM_WIRE], shots, entry_seed)
+        tomo = per_matrix_tomo_pipeline(final, [_IMPERFECT_SYSTEM_WIRE], shots, entry_seed)
         system = tomo.reduced
-        t_exact, f_exact = distances_to_mixed(system)
-        t_tomo, f_tomo = distances_to_mixed(tomo.physical)
+        t_exact, f_exact = single_distances_to_mixed(system)
+        t_tomo, f_tomo = single_distances_to_mixed(tomo.physical)
         records.append(ExperimentRecord(
             p=float(p),
             trace_distance_to_mixed=t_exact,
@@ -146,3 +171,166 @@ def string_estimate_expectations(
             total += -c if parity else c
         out[pauli] = total / sc.shots
     return out
+
+
+# The former single-matrix tomography of `tomo`, verbatim but for the names,
+# and the former single-state `qmath.distances_to_mixed`.
+
+
+def per_matrix_born_probabilities(state: DensityMatrix, basis: str) -> np.ndarray:
+    """Outcome probabilities after rotating each qubit into `basis`."""
+    if len(basis) != state.num_qubits:
+        raise ValueError(
+            f"basis {basis!r} does not match a {state.num_qubits}-qubit state"
+        )
+    for ch in basis:
+        if ch not in BASIS_CHARS:
+            raise ValueError(f"invalid basis character {ch!r}")
+    rot = functools.reduce(np.kron, [_ROTATION[ch] for ch in basis])
+    probs = np.real(np.diag(rot @ state.matrix @ rot.conj().T))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def per_matrix_measure_shots(state: DensityMatrix, basis: str, shots: int, seed: int) -> np.ndarray:
+    """Counts of i.i.d. outcomes in the given Pauli basis, in the count layout."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    probs = per_matrix_born_probabilities(state, basis)  # validates the basis first
+    return _rng_for(seed, basis).multinomial(shots, probs)
+
+
+def per_matrix_exact_expectations(state: DensityMatrix) -> dict[str, float]:
+    return {
+        p: float(np.trace(pauli_matrix(p) @ state.matrix).real)
+        for p in pauli_strings(state.num_qubits)
+    }
+
+
+def per_matrix_estimate_expectations(
+    counts_by_basis: Mapping[str, np.ndarray], num_qubits: int
+) -> dict[str, float]:
+    """Estimate every non-identity Pauli from full-basis count arrays.
+
+    A Pauli containing I reuses the measured basis with I replaced by Z; its
+    sign vector ignores the identity positions.
+    """
+    out: dict[str, float] = {}
+    for pauli in pauli_strings(num_qubits):
+        meas = pauli.replace("I", "Z")
+        counts = counts_by_basis[meas]
+        if counts.shape != (2 ** num_qubits,):
+            raise ValueError(f"counts of basis {meas!r} have shape {counts.shape}")
+        # Python's int / int is exactly rounded at any shot total; int64 / int64
+        # in numpy goes through float64 and rounds twice beyond 2^53.
+        out[pauli] = int(_sign_vector(pauli) @ counts) / int(counts.sum())
+    return out
+
+
+@dataclass(frozen=True)
+class PerMatrixTomogramRaw:
+    """Linear-inversion reconstruction; Hermitian and unit trace, PSD not required.
+
+    Its eigendecomposition is kept, read-only, in `spectrum` (descending
+    eigenvalues, eigenvector columns) for `min_eigenvalue` and projection.
+    """
+
+    matrix: np.ndarray
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", m)
+        spectrum = read_only_eig(m, tol=1e-9)
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > 1e-9:
+            raise ValueError(f"raw tomogram trace {tr!r} differs from 1")
+        object.__setattr__(self, "spectrum", spectrum)
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.spectrum[0][-1])
+
+    @property
+    def num_qubits(self) -> int:
+        return int(round(math.log2(self.matrix.shape[0])))
+
+
+def per_matrix_reconstruct(expectations: Mapping[str, float], num_qubits: int) -> PerMatrixTomogramRaw:
+    """Linear inversion rho = (I + sum <P> P) / 2^n from Pauli expectations."""
+    if num_qubits not in (1, 2):
+        raise ValueError(f"reconstruction supports 1 or 2 qubits, got {num_qubits}")
+    dim = 2 ** num_qubits
+    rho = np.eye(dim, dtype=complex)
+    for pauli in pauli_strings(num_qubits):
+        if pauli not in expectations:
+            raise ValueError(f"missing expectation for Pauli {pauli!r}")
+        rho = rho + expectations[pauli] * pauli_matrix(pauli)
+    rho /= dim
+    return PerMatrixTomogramRaw(rho)
+
+
+def per_matrix_project_physical(raw: PerMatrixTomogramRaw) -> DensityMatrix:
+    """Closest PSD unit-trace matrix in Frobenius norm.
+
+    Eigenvalue truncation: walk the spectrum from the most negative value,
+    zero it, and spread the deficit uniformly over the eigenvalues still in
+    play; stop once the smallest survivor stays nonnegative.
+    """
+    w, v = raw.spectrum  # descending
+    d = len(w)
+    out = np.zeros(d)
+    acc = 0.0
+    for i in range(d - 1, -1, -1):
+        if w[i] + acc / (i + 1) < 0.0:
+            acc += w[i]
+            out[i] = 0.0
+        else:
+            out[: i + 1] = w[: i + 1] + acc / (i + 1)
+            break
+    fixed = v @ np.diag(out.astype(complex)) @ v.conj().T
+    fixed = (fixed + fixed.conj().T) / 2.0
+    return DensityMatrix(raw.num_qubits, fixed)
+
+
+def per_matrix_tomo_pipeline(
+    state: StateVector | DensityMatrix,
+    qubits: Sequence[int],
+    shots: int | None,
+    seed: int = 0,
+) -> TomoResult:
+    """Measure, reconstruct, and project the reduced state on `qubits`.
+
+    shots=None is the exact mode: sampling is bypassed and the exact Pauli
+    expectations feed the reconstruction directly.
+    """
+    qubits = list(qubits)
+    if not 1 <= len(qubits) <= 2:
+        raise ValueError("tomography supports 1 or 2 qubits")
+    reduced = partial_trace(state, qubits)
+    n = reduced.num_qubits
+    if shots is None:
+        expectations = per_matrix_exact_expectations(reduced)
+    else:
+        counts_by_basis = {
+            "".join(b): per_matrix_measure_shots(reduced, "".join(b), shots, seed)
+            for b in itertools.product(BASIS_CHARS, repeat=n)
+        }
+        expectations = per_matrix_estimate_expectations(counts_by_basis, n)
+    raw = per_matrix_reconstruct(expectations, n)
+    physical = per_matrix_project_physical(raw)
+    return TomoResult(raw, physical, reduced)
+
+
+def single_distances_to_mixed(rho: DensityMatrix) -> tuple[float, float]:
+    """Trace distance and fidelity of `rho` to I/d, read from its spectrum.
+
+    I/d commutes with rho, so T = 1/2 sum |w - 1/d| and F = sum sqrt(w/d)
+    over the eigenvalues w of rho, with the floor and clip of `fidelity`.
+    """
+    w = rho.spectrum[0]
+    d = len(w)
+    t = 0.5 * np.sum(np.abs(w - 1.0 / d))
+    scaled = w / d
+    f = np.sum(np.sqrt(np.where(scaled < SQRT_FLOOR, 0.0, scaled)))
+    return min(max(float(t), 0.0), 1.0), min(max(float(f), 0.0), 1.0)

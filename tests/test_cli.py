@@ -79,12 +79,19 @@ class TestPerfect:
 
 
 class TestImperfect:
-    def test_shot_sweep_matches_golden_bytes(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        argv = ["imperfect", "--shots", "1024", "--format", "csv", "--seed", "3"]
-        assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
-        golden = Path(__file__).parent / "data" / "imperfect_golden.csv"
-        assert out.read_bytes() == golden.read_bytes()
+    @pytest.mark.parametrize("golden, argv", [
+        ("imperfect_golden.csv", ["--shots", "1024", "--format", "csv", "--seed", "3"]),
+        ("imperfect_golden_exact.json", ["--format", "json"]),
+        # At 5 shots two of the four raw tomograms go negative, so the
+        # projection truncates their spectra.
+        ("imperfect_golden_shots5.json", ["--grid", "none", "--p", "0", "--p", "1", "--p",
+                                          "0.5", "--p", "0.5", "--shots", "5", "--seed", "2",
+                                          "--format", "json"]),
+    ])
+    def test_shot_sweep_matches_golden_bytes(self, tmp_path, capsys, golden, argv):
+        out = tmp_path / "sweep.out"
+        assert run_cli(["imperfect"] + argv + ["--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
 
     def test_default_grid_csv_matches_closed_form(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -240,17 +247,18 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("argv, eigensolves", [
-    (["imperfect", "--shots", "1024"], 23),
+    (["imperfect", "--shots", "1024"], 3),
     (["perfect", "--shots", "8192"], 10),
 ])
 def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
-    # One per validated DensityMatrix or TomogramRaw, and one per trace
+    # One per validated DensityMatrix or TomogramRaw stack, and one per trace
     # distance and fidelity that `perfect` reports between two states. Pure
     # states are reduced without forming their density matrix, distances to
     # I/2 and to pure targets need none, and fidelity and projection reuse
-    # stored spectra. The sweep validates its 11 exact system states with
-    # one stacked eigensolve, which tomography reuses; each point's raw and
-    # projected tomograms take one each: 1 + 11 + 11.
+    # stored spectra. The sweep validates its 11 exact system states, their
+    # 11 raw tomograms and the 11 projections as three stacks: 1 + 1 + 1.
+    # `perfect` tomographs one state at a time: per product, its reduced
+    # state, raw and projected tomograms, fidelity and trace distance.
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(eigh_calls) == eigensolves

@@ -6,6 +6,7 @@ import math
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,7 +28,15 @@ from nohidelab.qmath import (
     partial_trace_matrix,
     trace_distance,
 )
-from nohidelab.tomo import estimate_expectations
+from nohidelab.tomo import (
+    TomogramRaw,
+    born_probabilities,
+    estimate_expectations,
+    exact_expectations,
+    project_physical,
+    reconstruct,
+    tomo_pipeline,
+)
 from nohidelab.zx import (
     RULES,
     TRANSLATABLE_GATES,
@@ -45,9 +54,14 @@ from nohidelab.zx import (
     plug_state,
 )
 
-from conftest import maximally_mixed, random_state
+from conftest import maximally_mixed, random_density, random_state
 from oracles import (
+    PerMatrixTomogramRaw,
     ShotCounts,
+    per_matrix_born_probabilities,
+    per_matrix_project_physical,
+    per_matrix_reconstruct,
+    per_matrix_tomo_pipeline,
     per_point_sweep,
     string_canonical_order,
     string_estimate_expectations,
@@ -186,7 +200,7 @@ def low_rank_densities(draw, max_qubits):
 @given(low_rank_densities(2))
 def test_distances_to_mixed_match_general_metrics(rho):
     mixed = maximally_mixed(rho.num_qubits)
-    t, f = distances_to_mixed(rho)
+    [(t, f)] = distances_to_mixed([rho])
     assert abs(t - trace_distance(rho, mixed)) <= 1e-12
     assert abs(f - fidelity(rho, mixed)) <= 1e-12
 
@@ -464,6 +478,112 @@ def test_batched_sweep_matches_per_point_oracle_bitwise(case):
     ]
 
 
+# Stacked tomography against the former single-matrix kernels.
+
+_dyadic = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+
+
+@st.composite
+def spectra(draw, dim):
+    """Unit-trace eigenvalues: general, dyadic (exactly repeated values and an
+    exact unit trace), or all but one negative."""
+    kind = draw(st.sampled_from(["general", "dyadic", "one-positive"]))
+    if kind == "one-positive":
+        negative = [-draw(st.floats(1e-6, 0.5)) for _ in range(dim - 1)]
+        return [1.0 - sum(negative)] + negative
+    values = [draw(st.floats(-0.5, 1.0) if kind == "general" else _dyadic)
+              for _ in range(dim - 1)]
+    return values + [1.0 - sum(values)]
+
+
+@st.composite
+def hermitian_unit_trace_stacks(draw):
+    """(num_qubits, (P, d, d) stack) with d in {2, 4}, P in 1..8: each matrix
+    V diag(w) V^dagger for a random unitary V and a spectrum of `spectra`."""
+    n = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 8))):
+        w = np.array(draw(spectra(2 ** n)))
+        u, _ = np.linalg.qr(rng.normal(size=(2 ** n, 2 ** n))
+                            + 1j * rng.normal(size=(2 ** n, 2 ** n)))
+        m = u @ np.diag(w) @ u.conj().T
+        stack.append((m + m.conj().T) / 2)
+    return n, np.array(stack)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(hermitian_unit_trace_stacks())
+def test_stacked_projection_matches_per_matrix_oracle_bitwise(case):
+    n, stack = case
+    raws = TomogramRaw.stack(stack)
+    singles = [PerMatrixTomogramRaw(m) for m in stack]
+    for raw, single in zip(raws, singles, strict=True):
+        assert raw.min_eigenvalue == single.min_eigenvalue
+        for ours, theirs in zip(raw.spectrum, single.spectrum):
+            assert _same_bits(ours, theirs)
+    for rho, single in zip(project_physical(raws), singles, strict=True):
+        want = per_matrix_project_physical(single)
+        assert _same_bits(rho.matrix, want.matrix)
+        for ours, theirs in zip(rho.spectrum, want.spectrum):
+            assert _same_bits(ours, theirs)
+    # Linear inversion of the stack's exact Pauli expectations.
+    expectations = exact_expectations(stack)
+    for i, raw in enumerate(reconstruct(expectations, n)):
+        want = per_matrix_reconstruct({p: float(e[i]) for p, e in expectations.items()}, n)
+        assert _same_bits(raw.matrix, want.matrix)
+
+
+@PROPERTY
+@given(hermitian_unit_trace_stacks(), st.data())
+def test_one_bad_raw_member_raises_the_single_matrix_error(case, data):
+    _, stack = case
+    i = data.draw(st.integers(0, len(stack) - 1))
+    bad = stack[i].copy()
+    if data.draw(st.booleans()):
+        bad[0, -1] += data.draw(st.sampled_from([1e-3, 0.1j, 2.0]))  # not Hermitian
+    else:
+        bad += data.draw(st.sampled_from([1e-6, -0.3])) * np.eye(len(bad))  # trace != 1
+    with pytest.raises(ValueError) as single:
+        PerMatrixTomogramRaw(bad)
+    stack[i] = bad
+    with pytest.raises(ValueError) as stacked:
+        TomogramRaw.stack(stack)
+    assert str(stacked.value) == str(single.value)
+
+
+@st.composite
+def tomography_cases(draw):
+    """(states, qubits, shots, seed): P in 1..4 random 3-qubit pure or mixed
+    states and one or two of their qubits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    states = [random_state(rng, 3) if draw(st.booleans()) else random_density(rng, 3)
+              for _ in range(draw(st.integers(1, 4)))]
+    qubits = draw(st.permutations(range(3)))[:draw(st.integers(1, 2))]
+    shots = draw(st.none() | st.integers(1, 5000))
+    return states, qubits, shots, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY
+@given(tomography_cases())
+def test_stacked_tomography_matches_per_matrix_oracle_bitwise(case):
+    states, qubits, shots, seed = case
+    results = tomo_pipeline(states, qubits, shots, seed)
+    for i, (state, result) in enumerate(zip(states, results, strict=True)):
+        want = per_matrix_tomo_pipeline(state, qubits, shots, seed + i)
+        for ours, theirs in zip(result, want):
+            assert _same_bits(ours.matrix, theirs.matrix)
+        assert result.raw.min_eigenvalue == want.raw.min_eigenvalue
+        probs = born_probabilities(result.reduced.matrix[None])[0]
+        for b, basis in enumerate(itertools.product("XYZ", repeat=len(qubits))):
+            want_probs = per_matrix_born_probabilities(result.reduced, "".join(basis))
+            assert _same_bits(probs[b], want_probs)
+
+
 @PROPERTY
 @given(st.integers(1, 8).flatmap(
     lambda dim: st.lists(_complex_matrices(dim), min_size=1, max_size=6)))
@@ -490,22 +610,25 @@ def count_arrays(draw, num_qubits):
 
 @st.composite
 def counts_by_basis(draw):
+    """(n, counts): a (P, 2^n) count stack per basis, P in 1..3."""
     n = draw(st.sampled_from([1, 2]))
+    points = draw(st.integers(1, 3))
     bases = ["".join(b) for b in itertools.product("XYZ", repeat=n)]
-    return n, {b: draw(count_arrays(n)) for b in bases}
+    return n, {b: np.array([draw(count_arrays(n)) for _ in range(points)]) for b in bases}
 
 
 @PROPERTY
 @given(counts_by_basis())
 def test_array_estimator_matches_string_oracle_exactly(case):
     n, counts = case
-    as_strings = {
-        b: ShotCounts(b, int(c.sum()), {format(i, f"0{n}b"): int(x)
-                                        for i, x in enumerate(c.tolist()) if x > 0})
-        for b, c in counts.items()
-    }
     ours = estimate_expectations(counts, n)
-    oracle = string_estimate_expectations(as_strings, n)
-    assert list(ours) == list(oracle)
-    for pauli, value in oracle.items():
-        assert ours[pauli] == value, pauli
+    for i in range(len(counts["X" * n])):
+        as_strings = {
+            b: ShotCounts(b, int(c[i].sum()), {format(j, f"0{n}b"): int(x)
+                                               for j, x in enumerate(c[i].tolist()) if x > 0})
+            for b, c in counts.items()
+        }
+        oracle = string_estimate_expectations(as_strings, n)
+        assert list(ours) == list(oracle)
+        for pauli, value in oracle.items():
+            assert ours[pauli][i] == value, pauli

@@ -149,7 +149,7 @@ def test_metrics_against_partially_bleached_states(rng):
         assert trace_distance(blended, mixed) == pytest.approx((1 - p) / 2, abs=1e-10)
         expected_f = (math.sqrt(1 - p / 2) + math.sqrt(p / 2)) / math.sqrt(2)
         assert fidelity(blended, mixed) == pytest.approx(expected_f, abs=1e-10)
-        t, f = distances_to_mixed(blended)
+        [(t, f)] = distances_to_mixed([blended])
         assert t == pytest.approx((1 - p) / 2, abs=1e-10)
         assert f == pytest.approx(expected_f, abs=1e-10)
 

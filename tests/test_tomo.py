@@ -8,6 +8,7 @@ from nohidelab import nohiding, qmath, tomo
 from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 from nohidelab.tomo import (
     TomogramRaw,
+    born_probabilities,
     estimate_expectations,
     exact_expectations,
     measure_shots,
@@ -27,74 +28,95 @@ def tilted_state() -> StateVector:
     return StateVector(1, np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
 
 
+def counts_of(rho: DensityMatrix, basis: str, shots: int, seed: int) -> np.ndarray:
+    """measure_shots on the Born probabilities of `rho` in `basis`."""
+    probs = born_probabilities(rho.matrix[None])[0, tomo._bases(rho.num_qubits).index(basis)]
+    return measure_shots(probs, basis, shots, seed)
+
+
+def exact_of(rho: DensityMatrix) -> dict[str, float]:
+    """The Pauli expectations of one state: the stack of one, unstacked."""
+    return {p: e[0] for p, e in exact_expectations(rho.matrix[None]).items()}
+
+
+def raw_of(expectations: dict[str, float], num_qubits: int) -> TomogramRaw:
+    """reconstruct of one point."""
+    return reconstruct({p: np.array([e]) for p, e in expectations.items()}, num_qubits)[0]
+
+
+def projected(raw: TomogramRaw) -> DensityMatrix:
+    return project_physical([raw])[0]
+
+
 def parities(counts: list[int]) -> dict[str, float]:
     """estimate_expectations with `counts` standing in for every basis of its size."""
     n = int(math.log2(len(counts)))
     bases = ("".join(b) for b in itertools.product("XYZ", repeat=n))
-    return estimate_expectations({b: np.array(counts) for b in bases}, n)
+    est = estimate_expectations({b: np.array([counts]) for b in bases}, n)
+    return {p: e[0] for p, e in est.items()}
 
 
 class TestMeasureShots:
     def test_eigenstate_gives_single_outcome(self):
-        counts = measure_shots(StateVector.ket("0").to_density(), "Z", 500, 1)
+        counts = counts_of(StateVector.ket("0").to_density(), "Z", 500, 1)
         assert counts.dtype == np.int64
         assert counts.tolist() == [500, 0]
 
     def test_plus_state_z_within_5_sigma(self):
-        counts = measure_shots(plus_state(), "Z", 8192, 11)
+        counts = counts_of(plus_state(), "Z", 8192, 11)
         freq = counts[0] / 8192
         sigma = math.sqrt(0.25 / 8192)
         assert abs(freq - 0.5) < 5 * sigma
 
     def test_z_expectation_of_tilted_state(self):
-        counts = measure_shots(tilted_state().to_density(), "Z", 8192, 3)
+        counts = counts_of(tilted_state().to_density(), "Z", 8192, 3)
         est = parities(counts.tolist())["Z"]
         sigma = math.sqrt(1.0 / 8192)
         assert abs(est - math.cos(math.pi / 4)) < 5 * sigma
 
     def test_y_eigenstate_measures_plus_in_y_basis(self):
         plus_i = StateVector.from_amplitudes(np.array([1, 1j]) / math.sqrt(2))
-        counts = measure_shots(plus_i.to_density(), "Y", 200, 5)
+        counts = counts_of(plus_i.to_density(), "Y", 200, 5)
         assert counts.tolist() == [200, 0]
 
     def test_x_eigenstate_measures_plus_in_x_basis(self):
-        counts = measure_shots(plus_state(), "X", 200, 5)
+        counts = counts_of(plus_state(), "X", 200, 5)
         assert counts.tolist() == [200, 0]
 
     def test_deterministic_for_fixed_seed(self):
-        a = measure_shots(plus_state(), "Z", 2048, 42)
-        b = measure_shots(plus_state(), "Z", 2048, 42)
+        a = counts_of(plus_state(), "Z", 2048, 42)
+        b = counts_of(plus_state(), "Z", 2048, 42)
         assert a.tolist() == b.tolist()
 
     def test_distinct_bases_use_distinct_streams(self):
         rho = tilted_state().to_density()
-        a = measure_shots(rho, "Z", 4096, 42)
-        b = measure_shots(rho, "X", 4096, 42)
+        a = counts_of(rho, "Z", 4096, 42)
+        b = counts_of(rho, "X", 4096, 42)
         assert a.tolist() != b.tolist()
 
     def test_invalid_basis_rejected(self):
-        with pytest.raises(ValueError, match="basis"):
-            measure_shots(plus_state(), "Q", 10, 0)
-        with pytest.raises(ValueError, match="basis"):
-            measure_shots(plus_state(), "ZZ", 10, 0)
+        with pytest.raises(ValueError, match="invalid basis character 'Q'"):
+            measure_shots(np.array([0.5, 0.5]), "Q", 10, 0)
+        with pytest.raises(ValueError, match="basis 'ZZ' does not match a 1-qubit state"):
+            measure_shots(np.array([0.5, 0.5]), "ZZ", 10, 0)
 
     def test_shot_floor(self):
         with pytest.raises(ValueError, match="shots"):
-            measure_shots(plus_state(), "Z", 0, 0)
+            measure_shots(np.array([0.5, 0.5]), "Z", 0, 0)
 
     def test_zero_outcomes_kept_in_index_order(self):
-        counts = measure_shots(StateVector.ket("01").to_density(), "ZZ", 300, 7)
+        counts = counts_of(StateVector.ket("01").to_density(), "ZZ", 300, 7)
         assert counts.tolist() == [0, 300, 0, 0]  # |01> is index 1: qubit 0 is the MSB
 
     def test_counts_sum_to_shots(self, rng):
-        counts = measure_shots(random_density(rng, 2), "XY", 1001, 3)
+        counts = counts_of(random_density(rng, 2), "XY", 1001, 3)
         assert counts.shape == (4,) and int(counts.sum()) == 1001
 
 
 class TestCachedOperators:
     def test_shared_and_read_only(self):
         for build, key in ((tomo.pauli_matrix, "XZ"), (tomo.pauli_matrix, "Y"),
-                           (tomo._basis_rotation, "YX"), (tomo._basis_rotation, "Z"),
+                           (tomo._basis_rotations, 2), (tomo._basis_rotations, 1),
                            (tomo._sign_vector, "IZ")):
             m = build(key)
             assert build(key) is m
@@ -102,8 +124,7 @@ class TestCachedOperators:
 
     def test_shared_qmath_constants_stay_writeable(self):
         tomo.pauli_matrix("X")
-        tomo._basis_rotation("X")
-        tomo._basis_rotation("Z")
+        tomo._basis_rotations(1)
         assert tomo.pauli_matrix("I") is not qmath.I2
         for m in (qmath.PAULIS["X"], qmath.HADAMARD, qmath.I2):
             assert m.flags.writeable
@@ -139,43 +160,48 @@ class TestExpectation:
         assert est["IZ"] == 0.5
 
     def test_wrong_length_rejected(self):
-        counts = {b: np.array([1, 0, 0, 0]) for b in ("X", "Y", "Z")}
+        counts = {b: np.array([[1, 0, 0, 0]]) for b in ("X", "Y", "Z")}
         with pytest.raises(ValueError, match="counts of basis 'X' have shape"):
             estimate_expectations(counts, 1)
 
 
 class TestReconstruct:
     def test_zero_expectations_give_mixed(self):
-        raw = reconstruct({"X": 0.0, "Y": 0.0, "Z": 0.0}, 1)
+        raw = raw_of({"X": 0.0, "Y": 0.0, "Z": 0.0}, 1)
         assert np.abs(raw.matrix - np.eye(2) / 2).max() < 1e-12
         assert raw.min_eigenvalue == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_expectations_recover_tilted_state(self):
         psi = tilted_state()
         inv_sqrt2 = 1 / math.sqrt(2)
-        raw = reconstruct({"X": inv_sqrt2, "Y": 0.0, "Z": inv_sqrt2}, 1)
+        raw = raw_of({"X": inv_sqrt2, "Y": 0.0, "Z": inv_sqrt2}, 1)
         assert np.abs(raw.matrix - psi.to_density().matrix).max() < 1e-12
 
     def test_two_qubit_bell_exact(self):
         bell = StateVector.from_amplitudes(np.array([0, 1, 1, 0]) / math.sqrt(2))
         rho = bell.to_density()
-        raw = reconstruct(exact_expectations(rho), 2)
+        raw = raw_of(exact_of(rho), 2)
         assert np.abs(raw.matrix - rho.matrix).max() < 1e-12
 
     def test_inverse_of_pauli_decomposition(self, rng):
         for n in (1, 2):
-            for _ in range(10):
-                rho = random_density(rng, n)
-                raw = reconstruct(exact_expectations(rho), n)
-                assert np.abs(raw.matrix - rho.matrix).max() < 1e-12
+            matrices = np.array([random_density(rng, n).matrix for _ in range(10)])
+            raws = reconstruct(exact_expectations(matrices), n)
+            assert len(raws) == 10
+            for raw, m in zip(raws, matrices):
+                assert np.abs(raw.matrix - m).max() < 1e-12
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing expectation for Pauli 'Y'"):
-            reconstruct({"X": 0.0, "Z": 0.0}, 1)
+            raw_of({"X": 0.0, "Z": 0.0}, 1)
 
     def test_qubit_count_limited(self):
         with pytest.raises(ValueError, match="1 or 2"):
             reconstruct({}, 3)
+
+    def test_raw_stack_needs_a_stack(self):
+        with pytest.raises(ValueError, match="expected a stack of matrices, got shape"):
+            TomogramRaw.stack(np.eye(2) / 2)
 
 
 def _simplex_grid_best(target: np.ndarray, step: float = 0.01) -> float:
@@ -199,25 +225,26 @@ def _simplex_grid_best(target: np.ndarray, step: float = 0.01) -> float:
 class TestProjectPhysical:
     def test_physical_input_unchanged(self, rng):
         rho = random_density(rng, 2)
-        raw = reconstruct(exact_expectations(rho), 2)
-        fixed = project_physical(raw)
+        fixed = projected(raw_of(exact_of(rho), 2))
         assert np.abs(fixed.matrix - rho.matrix).max() < 1e-10
 
     def test_reuses_the_tomogram_spectrum(self, rng, eigh_calls):
-        expectations = exact_expectations(random_density(rng, 2))
+        expectations = exact_expectations(np.array([random_density(rng, 2).matrix
+                                                    for _ in range(3)]))
         eigh_calls.clear()
-        raw = reconstruct(expectations, 2)
-        assert len(eigh_calls) == 1  # the tomogram's own validation
-        w, v = raw.spectrum
-        assert not w.flags.writeable and not v.flags.writeable
-        assert raw.min_eigenvalue == w[-1]
+        raws = reconstruct(expectations, 2)
+        assert len(eigh_calls) == 1  # the stack's own validation
+        for raw in raws:
+            w, v = raw.spectrum
+            assert not w.flags.writeable and not v.flags.writeable
+            assert raw.min_eigenvalue == w[-1]
         eigh_calls.clear()
-        project_physical(raw)
-        assert len(eigh_calls) == 1  # the projected DensityMatrix's PSD check
+        assert len(project_physical(raws)) == 3
+        assert len(eigh_calls) == 1  # the projected stack's PSD check
 
     def test_two_level_example(self):
         raw = TomogramRaw(np.diag([1.1, -0.1]).astype(complex))
-        fixed = project_physical(raw)
+        fixed = projected(raw)
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [1.0, 0.0]).max() < 1e-12
         # brute force over the 1-parameter family confirms optimality
@@ -228,7 +255,7 @@ class TestProjectPhysical:
     def test_four_level_redistribution_vs_grid_oracle(self):
         spectrum = np.array([0.8, 0.5, -0.2, -0.1])
         raw = TomogramRaw(np.diag(spectrum).astype(complex))
-        fixed = project_physical(raw)
+        fixed = projected(raw)
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [0.65, 0.35, 0.0, 0.0]).max() < 1e-12
         ours = float(np.sum((np.sort(w) - np.sort(spectrum)) ** 2))
@@ -236,8 +263,8 @@ class TestProjectPhysical:
 
     def test_idempotent(self, rng):
         raw = TomogramRaw(np.diag([0.9, 0.4, -0.1, -0.2]).astype(complex))
-        once = project_physical(raw)
-        twice = project_physical(TomogramRaw(once.matrix))
+        once = projected(raw)
+        twice = projected(TomogramRaw(once.matrix))
         assert np.abs(once.matrix - twice.matrix).max() < 1e-12
 
     def test_never_increases_distance_to_physical_states(self, rng):
@@ -249,7 +276,7 @@ class TestProjectPhysical:
                                  np.array([-basis.amplitudes[1].conj(), basis.amplitudes[0].conj()])])
             raw_m = v @ np.diag(spectrum.astype(complex)) @ v.conj().T
             raw = TomogramRaw(raw_m)
-            fixed = project_physical(raw)
+            fixed = projected(raw)
             sigma = random_density(rng, 1)
             before = np.linalg.norm(raw.matrix - sigma.matrix)
             after = np.linalg.norm(fixed.matrix - sigma.matrix)
@@ -259,25 +286,25 @@ class TestProjectPhysical:
 class TestPipeline:
     def test_exact_mode_is_lossless(self, rng):
         rho = random_density(rng, 3)
-        result = tomo_pipeline(rho, [0, 2], shots=None)
+        (result,) = tomo_pipeline([rho], [0, 2], shots=None)
         assert qmath.fidelity(result.physical, result.reduced) == pytest.approx(1.0, abs=1e-10)
         assert result.raw.min_eigenvalue > -1e-12
 
     def test_estimates_match_exact_at_large_shots(self):
         rho = tilted_state().to_density()
-        counts = {b: measure_shots(rho, b, 200_000, 9) for b in ("X", "Y", "Z")}
+        counts = {b: counts_of(rho, b, 200_000, 9)[None] for b in ("X", "Y", "Z")}
         est = estimate_expectations(counts, 1)
-        exact = exact_expectations(rho)
+        exact = exact_of(rho)
         for pauli in exact:
-            assert abs(est[pauli] - exact[pauli]) < 0.02
+            assert abs(est[pauli][0] - exact[pauli]) < 0.02
 
     def test_marginal_expectations_from_two_qubit_counts(self):
         bell = StateVector.from_amplitudes(np.array([0, 1, 1, 0]) / math.sqrt(2))
         counts = {
-            "".join(b): measure_shots(bell.to_density(), "".join(b), 4096, 17)
+            "".join(b): counts_of(bell.to_density(), "".join(b), 4096, 17)[None]
             for b in itertools.product("XYZ", repeat=2)
         }
-        est = estimate_expectations(counts, 2)
+        est = {p: e[0] for p, e in estimate_expectations(counts, 2).items()}
         # single-qubit marginals of this Bell state all vanish
         for pauli in ("IZ", "ZI", "IX", "XI"):
             assert abs(est[pauli]) < 0.1
@@ -286,17 +313,14 @@ class TestPipeline:
 
     def test_estimator_unbiased(self):
         rho = tilted_state().to_density()
-        exact = exact_expectations(rho)
-        sums = {p: 0.0 for p in exact}
+        exact = exact_of(rho)
         n_seeds, shots = 1000, 1024
-        for seed in range(n_seeds):
-            counts = {b: measure_shots(rho, b, shots, seed) for b in ("X", "Y", "Z")}
-            est = estimate_expectations(counts, 1)
-            for p in sums:
-                sums[p] += est[p]
+        counts = {b: np.array([counts_of(rho, b, shots, seed) for seed in range(n_seeds)])
+                  for b in ("X", "Y", "Z")}
+        est = estimate_expectations(counts, 1)
         bound = 4 * math.sqrt(1.0 / (n_seeds * shots))
-        for p, total in sums.items():
-            assert abs(total / n_seeds - exact[p]) < bound, p
+        for p, values in est.items():
+            assert abs(values.mean() - exact[p]) < bound, p
 
     def test_small_p_runs_go_nonphysical_under_shot_noise(self):
         # partial bleaching at weight <= 0.025 leaves the system nearly pure,
@@ -310,11 +334,11 @@ class TestPipeline:
 
     def test_qubit_count_limit(self, rng):
         with pytest.raises(ValueError, match="1 or 2"):
-            tomo_pipeline(random_density(rng, 3), [0, 1, 2], shots=None)
+            tomo_pipeline([random_density(rng, 3)], [0, 1, 2], shots=None)
 
     def test_report_schema(self, rng):
         rho = random_density(rng, 1)
-        result = tomo_pipeline(rho, [0], shots=None)
+        (result,) = tomo_pipeline([rho], [0], shots=None)
         report = tomo.report_dict(result)
         assert set(report) == {
             "raw_min_eigenvalue", "fidelity", "trace_distance", "matrix_re", "matrix_im",
@@ -326,8 +350,16 @@ class TestPipeline:
     def test_reduced_is_the_exact_partial_trace(self, rng):
         rho = random_density(rng, 3)
         for qubits in ([1], [2, 0]):
-            result = tomo_pipeline(rho, qubits, shots=512, seed=4)
+            (result,) = tomo_pipeline([rho], qubits, shots=512, seed=4)
             assert np.array_equal(result.reduced.matrix, partial_trace(rho, qubits).matrix)
             assert tomo.report_dict(result)["fidelity"] == qmath.fidelity(
                 result.physical, result.reduced
             )
+
+    def test_state_i_of_a_stack_samples_on_seed_plus_i(self, rng):
+        states = [random_state(rng, 3), random_density(rng, 3), random_state(rng, 3)]
+        stacked = tomo_pipeline(states, [2, 0], shots=64, seed=10)
+        for i, (state, got) in enumerate(zip(states, stacked)):
+            (alone,) = tomo_pipeline([state], [2, 0], shots=64, seed=10 + i)
+            for a, b in zip(got, alone):
+                assert a.matrix.tobytes() == b.matrix.tobytes()
