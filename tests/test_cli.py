@@ -206,6 +206,15 @@ class TestSimulate:
         assert abs(abs(s) - 1) < 1e-9
         assert np.abs(amps - s * target).max() < 1e-9
 
+    def test_q10_run_matches_golden_bytes(self, tmp_path, capsys):
+        # Every mnemonic; cx, ch and swap in both operand orders on
+        # non-adjacent qubits.
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "q10.json"
+        argv = ["simulate", str(data / "simulate_golden_q10.circ"), "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert out.read_bytes() == (data / "simulate_golden_q10.json").read_bytes()
+
     def test_malformed_file_exits_2_without_output(self, tmp_path, capsys):
         path = tmp_path / "bad.circ"
         path.write_text("qubits 2\ncx 0 2\n")
