@@ -9,6 +9,10 @@ Text format (UTF-8, one statement per line):
     swap a b
     # comment to end of line; blank lines ignored
 
+Numbers are ASCII: N and the qubit indices are [0-9]+, and each angle is a
+finite decimal literal: an optional sign, digits with an optional fraction
+(1, 1.5) or a fraction alone (.5), and an optional exponent (1e-3, 2E+1).
+
 u3 follows the convention
 U3(theta, phi, lam) = [[cos(t/2), -e^{i lam} sin(t/2)],
                        [e^{i phi} sin(t/2), e^{i(phi+lam)} cos(t/2)]].
@@ -52,8 +56,18 @@ _CH = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), HADAMARD]]).astype(co
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-_FIXED = {"h": HADAMARD, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "s": _S, "t": _T,
-          "cx": _CX, "ch": _CH, "swap": _SWAP}
+
+
+def _read_only_view(m: np.ndarray) -> np.ndarray:
+    v = m.view()
+    v.flags.writeable = False
+    return v
+
+
+# Read-only views: the qmath constants themselves stay writeable.
+_FIXED = {kind: _read_only_view(m) for kind, m in (
+    ("h", HADAMARD), ("x", PAULI_X), ("y", PAULI_Y), ("z", PAULI_Z), ("s", _S), ("t", _T),
+    ("cx", _CX), ("ch", _CH), ("swap", _SWAP))}
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -84,7 +98,10 @@ class Gate:
         if self.kind == "unitary":
             if self.matrix is None:
                 raise ValueError("unitary gate requires a matrix payload")
-            m = np.asarray(self.matrix, dtype=complex)
+            # A C-contiguous read-only copy: the caller's array may change
+            # after validation, and the gate kernel takes C-ordered operators.
+            m = np.array(self.matrix, dtype=complex, order="C")
+            m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
             dim = 2 ** len(self.targets)
             if m.shape != (dim, dim):
@@ -134,11 +151,19 @@ class Circuit:
 
 
 def _apply_op(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply a 2^k operator to `axes` of a (2,)*m tensor; axes[0] is the op's MSB."""
-    k = len(axes)
-    out = np.tensordot(op.reshape((2,) * (2 * k)), tensor,
-                       axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, list(range(k)), list(axes))
+    """Apply a 2^k operator to `axes` of a (2,)*m tensor; axes[0] is the op's MSB.
+
+    These are np.tensordot's own steps, the same `dot` on the same operands,
+    so the result is bit-identical to contracting with tensordot and moving
+    the op's axes back; only its generic axis normalisation is skipped.
+    """
+    perm = list(axes) + [a for a in range(tensor.ndim) if a not in axes]
+    moved = tensor.transpose(perm)
+    out = np.dot(op, moved.reshape(len(op), -1))
+    inverse = [0] * len(perm)
+    for i, a in enumerate(perm):
+        inverse[a] = i
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def gate_matrix(g: Gate, num_qubits: int) -> np.ndarray:
@@ -191,6 +216,24 @@ class CircuitParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\S+")
+# Numbers are ASCII only. Python's int() and float() also take Unicode
+# digits, underscores and (int) a sign, so two spellings would give one value.
+_ASCII_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def ascii_int(text: str) -> int:
+    """The value of a `[0-9]+` literal; ValueError for any other text."""
+    # On ASCII text, isdigit() accepts exactly [0-9]+.
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an ASCII integer literal: {text!r}")
+    return int(text, 10)
+
+
+def ascii_float(text: str) -> float:
+    """The value of an ASCII decimal literal; ValueError for any other text."""
+    if _ASCII_DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not an ASCII decimal literal: {text!r}")
+    return float(text)
 
 
 def _tokenize(text: str):
@@ -205,7 +248,7 @@ def _tokenize(text: str):
 
 def _parse_index(tok: str, col: int, lineno: int, num_qubits: int) -> int:
     try:
-        value = int(tok, 10)
+        value = ascii_int(tok)
     except ValueError:
         raise CircuitParseError(f"expected qubit index, got {tok!r}", lineno, col) from None
     if not 0 <= value < num_qubits:
@@ -218,7 +261,7 @@ def _parse_index(tok: str, col: int, lineno: int, num_qubits: int) -> int:
 
 def _parse_angle(tok: str, col: int, lineno: int) -> float:
     try:
-        value = float(tok)
+        value = ascii_float(tok)
     except ValueError:
         raise CircuitParseError(f"malformed angle literal {tok!r}", lineno, col) from None
     if not math.isfinite(value):
@@ -240,7 +283,7 @@ def parse_circuit(text: str) -> Circuit:
         col = toks[1][1] if len(toks) > 2 else toks[0][1]
         raise CircuitParseError("header must be exactly 'qubits N'", lineno, col)
     try:
-        num_qubits = int(toks[1][0], 10)
+        num_qubits = ascii_int(toks[1][0])
     except ValueError:
         raise CircuitParseError(
             f"expected qubit count, got {toks[1][0]!r}", lineno, toks[1][1]

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import nohiding, tomo, zx
-from .circuits import CircuitParseError, parse_circuit, run_statevector
+from .circuits import (
+    CircuitParseError,
+    ascii_float,
+    ascii_int,
+    parse_circuit,
+    run_statevector,
+)
 from .jsonio import csv_text, json_text, write_text_atomic
 from .qmath import StateVector
 
@@ -33,7 +39,7 @@ def _parse_shots(text: str) -> int | None:
     if text == "exact":
         return None
     try:
-        shots = int(text, 10)
+        shots = ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"shots must be a positive integer or 'exact', got {text!r}"
@@ -44,13 +50,21 @@ def _parse_shots(text: str) -> int | None:
 
 
 def _parse_seed(text: str) -> int:
+    negative = text.startswith("-")
     try:
-        seed = int(text, 10)
+        seed = ascii_int(text[1:] if negative else text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if seed < 0:
+    if negative:
         raise argparse.ArgumentTypeError("seed must be a non-negative integer")
     return seed
+
+
+def _parse_p(text: str) -> float:
+    try:
+        return ascii_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 @functools.cache
@@ -74,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("imperfect", help="sweep the partial-bleaching weight p")
-    p.add_argument("--p", type=float, action="append", default=None,
+    p.add_argument("--p", type=_parse_p, action="append", default=None,
                    help="sweep point in [0,1]; repeatable")
     p.add_argument("--grid", choices=("default", "none"), default="default",
                    help="include the built-in sin^2(k pi/20) grid")

@@ -14,8 +14,11 @@ former single-state `qmath.distances_to_mixed`, verbatim but for the names.
 `string_estimate_expectations` is the former `tomo.estimate_expectations`,
 verbatim but for the name: it reads bitstring-keyed count dicts, held in
 `ShotCounts` (the fields of the former `tomo.ShotCounts`, unvalidated), and
-takes each parity character by character.
-The property tests in test_oracles.py compare the library against them.
+takes each parity character by character. `tensordot_apply_op` is the former
+`circuits._apply_op`, verbatim but for the name: a `tensordot` on the touched
+axes, then a `moveaxis` back.
+The property tests in test_oracles.py and test_circuits.py compare the library
+against them.
 """
 from __future__ import annotations
 
@@ -101,6 +104,14 @@ def string_canonical_order(d: ZXDiagram) -> list[int]:
         seen.add(start)
         order.append(start)
         queue.append(start)
+
+
+def tensordot_apply_op(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply a 2^k operator to `axes` of a (2,)*m tensor; axes[0] is the op's MSB."""
+    k = len(axes)
+    out = np.tensordot(op.reshape((2,) * (2 * k)), tensor,
+                       axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
 
 def whole_scalar(before: ZXDiagram, after: ZXDiagram) -> complex | None:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,15 @@ from hypothesis import strategies as st
 
 from nohidelab import qmath
 from nohidelab.circuits import (
+    GATE_ARITY,
     MAX_QUBITS,
+    PARAM_COUNT,
     Circuit,
     CircuitParseError,
     Gate,
+    _apply_op,
+    ascii_float,
+    ascii_int,
     circuit_unitary,
     gate_matrix,
     parse_circuit,
@@ -25,6 +31,7 @@ from nohidelab.nohiding import depolarizing_kraus
 from nohidelab.qmath import StateVector, kron
 
 from conftest import random_density, random_state
+from oracles import tensordot_apply_op
 
 GOLDEN = Path(__file__).parent / "data" / "circuit_grammar_golden.json"
 
@@ -107,6 +114,31 @@ class TestParser:
             assert again.gates == c.gates, case["name"]
             assert again.num_qubits == c.num_qubits
 
+    # Python's int() and float() also take these; the text format does not.
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("qubits \uff13", "expected qubit count, got '\uff13'", 1, 8),
+        ("qubits 2\nh \u0661", "expected qubit index, got '\u0661'", 2, 3),
+        ("qubits 1\nu3 1_0.5 0 0 0", "malformed angle literal '1_0.5'", 2, 4),
+        ("qubits 3\ncx +0 2", "expected qubit index, got '+0'", 2, 4),
+    ], ids=["fullwidth-count", "arabic-indic-index", "underscore-angle", "signed-index"])
+    def test_numbers_are_ascii_only(self, text, message, line, col):
+        with pytest.raises(CircuitParseError, match=re.escape(message)) as err:
+            parse_circuit(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_ascii_number_grammar(self):
+        for text in ("0", "007", "1", "20"):
+            assert ascii_int(text) == int(text)
+        for text in ("", "-1", "+1", " 1", "1 ", "1_0", "\u0663", "1.0"):
+            with pytest.raises(ValueError):
+                ascii_int(text)
+        for text in ("0", "-0.5", "+2", ".5", "1e-3", "2.5E+0", "-1E2", "1e400"):
+            assert ascii_float(text) == float(text)
+        for text in ("", "1.", ".", "e3", "1e", "inf", "nan", "0x1p3", "1_0.5",
+                     "\u0660.\u0665", " 1", "1\n", "--1"):
+            with pytest.raises(ValueError):
+                ascii_float(text)
+
     def test_render_rejects_raw_unitary(self):
         c = Circuit(1, (Gate("unitary", (0,), matrix=np.eye(2)),))
         with pytest.raises(ValueError, match="no text form"):
@@ -128,6 +160,84 @@ def test_parser_total_on_arbitrary_text(text):
         assert exc.col >= 1
     else:
         assert isinstance(result, Circuit)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bytes of `a` in C order, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def _signed_zeros(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
+    """`a` with about one entry in eight set to +0.0 or -0.0 (real and imaginary parts)."""
+    parts = a.view(np.float64)
+    hit = rng.random(parts.shape) < 0.125
+    parts[hit] = np.copysign(0.0, rng.random(hit.sum()) - 0.5)
+    return a
+
+
+@st.composite
+def kernel_chains(draw):
+    """A tensor of 1-8 qubits, maybe with a batch axis of 1-3, and 1-3 operators
+    on k in {1, 2, 3} distinct axes each, in any order."""
+    n = draw(st.integers(1, 8))
+    batch = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, min(3, n)))
+        steps.append([len(batch) + q for q in draw(st.permutations(range(n)))[:k]])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = batch + (2,) * n
+    tensor = _signed_zeros(rng, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    ops = []
+    for axes in steps:
+        dim = 2 ** len(axes)
+        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        ops.append(_signed_zeros(rng, op))
+    return tensor, list(zip(ops, steps))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kernel_chains())
+def test_apply_op_is_bitwise_tensordot(case):
+    # Later steps take the earlier steps' transposed outputs, as in a circuit.
+    got = want = case[0]
+    for op, axes in case[1]:
+        assert op.flags.c_contiguous
+        got = _apply_op(got, op, axes)
+        want = tensordot_apply_op(want, op, axes)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@st.composite
+def random_circuits(draw):
+    """1-4 qubits, every mnemonic and raw unitaries on 1-3 qubits."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= n]
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds + ["unitary"]))
+        k = GATE_ARITY.get(kind) or draw(st.integers(1, min(3, n)))
+        targets = tuple(draw(st.permutations(range(n)))[:k])
+        if kind == "unitary":
+            dim = 2 ** k
+            q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            gates.append(Gate(kind, targets, matrix=q))
+        else:
+            params = tuple(rng.uniform(-4, 4, size=PARAM_COUNT.get(kind, 0)))
+            gates.append(Gate(kind, targets, params))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_circuits())
+def test_circuit_unitary_is_bitwise_oracle(c):
+    dim = 2 ** c.num_qubits
+    want = np.eye(dim, dtype=complex).reshape((2,) * (2 * c.num_qubits))
+    for g in c.gates:
+        want = tensordot_apply_op(want, g.local_matrix(), g.targets)
+    assert np.array_equal(_bits(circuit_unitary(c)), _bits(want.reshape(dim, dim)))
 
 
 class TestGateMatrix:
@@ -241,6 +351,40 @@ class TestChannels:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             depolarizing_kraus(1.5)
+
+
+class TestOperatorsReadOnly:
+    def test_unitary_payload_is_a_read_only_copy(self):
+        m = qmath.HADAMARD.copy()
+        g = Gate("unitary", (0,), matrix=m)
+        m[0, 0] = 5
+        assert not g.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 5
+        assert np.array_equal(g.matrix, qmath.HADAMARD)
+        c = Circuit(1, (g,))
+        assert qmath.is_unitary(circuit_unitary(c))
+        out = run_statevector(c, StateVector.ket("0"))
+        assert np.abs(out.amplitudes - qmath.HADAMARD[:, 0]).max() < 1e-15
+
+    def test_unitary_payload_is_c_contiguous(self):
+        u = circuit_unitary(parse_circuit("qubits 2\nh 0\ncx 0 1\nt 1"))
+        for m in (np.asfortranarray(u), u.T, u[::-1, ::-1]):
+            g = Gate("unitary", (1, 0), matrix=m)
+            assert g.matrix.flags.c_contiguous
+            assert np.array_equal(g.matrix, m)
+
+    def test_fixed_operators_are_read_only_views(self):
+        for kind, arity in GATE_ARITY.items():
+            if kind == "u3":
+                continue
+            m = Gate(kind, tuple(range(arity))).local_matrix()
+            assert not m.flags.writeable and m.flags.c_contiguous, kind
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 5
+        assert Gate("h", (0,)).local_matrix().base is qmath.HADAMARD
+        for m in (qmath.HADAMARD, qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z):
+            assert m.flags.writeable
 
 
 def test_gate_validation():

@@ -296,8 +296,20 @@ class TestArgHandling:
     (["perfect", "--out", "{tmp}/missing/x.json"], "missing' does not exist"),
     (["zx", "--out", "{tmp}/outdir"], "outdir' is a directory"),
     (["simulate", "{tmp}/q21.circ"], "col 8: qubit count 21 exceeds the limit of 20"),
+    # Numbers are ASCII only: Python's int() and float() also take these.
+    (["perfect", "--seed", "\u0663"], "seed must be an integer, got '\u0663'"),
+    (["perfect", "--seed", "+5"], "seed must be an integer, got '+5'"),
+    (["perfect", "--seed", "1_0"], "seed must be an integer, got '1_0'"),
+    (["perfect", "--seed", "-0"], "seed must be a non-negative"),
+    (["perfect", "--shots", "1_024"], "shots must be a positive integer or 'exact', got '1_024'"),
+    (["perfect", "--shots", "\u0663"], "shots must be a positive integer or 'exact'"),
+    (["imperfect", "--p", "\u0660.\u0665"], "invalid float value: '\u0660.\u0665'"),
+    (["imperfect", "--p", "0_0.5"], "invalid float value: '0_0.5'"),
+    (["imperfect", "--p", "nan"], "invalid float value: 'nan'"),
 ], ids=["perfect-seed", "imperfect-seed", "perfect-shots", "imperfect-shots",
-        "out-dir-missing", "out-is-dir", "qubits-21"])
+        "out-dir-missing", "out-is-dir", "qubits-21", "seed-arabic-indic", "seed-plus",
+        "seed-underscore", "seed-minus-zero", "shots-underscore", "shots-arabic-indic",
+        "p-arabic-indic", "p-underscore", "p-nan"])
 def test_config_errors_exit_2_without_output(argv, message, tmp_path, capsys):
     (tmp_path / "q21.circ").write_text("qubits 21\nh 0\n")
     (tmp_path / "outdir").mkdir()
