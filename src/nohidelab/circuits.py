@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,7 +86,9 @@ class Gate:
     kind: str
     targets: tuple[int, ...]
     params: tuple[float, ...] = ()
-    matrix: np.ndarray | None = None  # payload for kind "unitary" only
+    matrix: np.ndarray | None = field(default=None, compare=False)  # kind "unitary" only
+    # The payload's shape and bytes: gates compare and hash by its contents.
+    _payload: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
@@ -103,6 +105,7 @@ class Gate:
             m = np.array(self.matrix, dtype=complex, order="C")
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "_payload", (m.shape, m.tobytes()))
             dim = 2 ** len(self.targets)
             if m.shape != (dim, dim):
                 raise ValueError(

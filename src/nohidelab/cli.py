@@ -162,18 +162,14 @@ def cmd_imperfect(args) -> int:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"sweep point p={p!r} outside [0, 1]")
     records = nohiding.run_sweep(p_values, args.shots, args.seed)
-    rows = nohiding.sweep_rows(records)
     if args.format == "csv":
-        text = csv_text(
-            nohiding.SWEEP_FIELDS,
-            [[row[field] for field in nohiding.SWEEP_FIELDS] for row in rows],
-        )
+        text = csv_text(nohiding.SWEEP_FIELDS, records)
     else:
         text = json_text({
             "command": "imperfect",
             "shots": _shots_field(args.shots),
             "seed": args.seed,
-            "records": rows,
+            "records": nohiding.sweep_rows(records),
         })
     _emit(text, args.out)
     return EXIT_OK

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,17 +162,16 @@ def build_full_circuit(tag: str) -> Circuit:
     return build_erasure_circuit(tag).extended(DECODER_GATES)
 
 
-def default_input_gates(qubit: int = 0) -> tuple[Gate, ...]:
+def default_input_gates() -> tuple[Gate, ...]:
     """H, T, H, S preparation of cos(pi/8)|0> + sin(pi/8)|1> (up to phase)."""
-    return (Gate("h", (qubit,)), Gate("t", (qubit,)),
-            Gate("h", (qubit,)), Gate("s", (qubit,)))
+    return (Gate("h", (0,)), Gate("t", (0,)), Gate("h", (0,)), Gate("s", (0,)))
 
 
 @functools.cache
 def default_input_state() -> StateVector:
     """The state `default_input_gates` prepares, built once per process and
     shared: its amplitudes are read-only."""
-    state = StateVector(1, circuit_unitary(Circuit(1, default_input_gates(0)))[:, 0])
+    state = StateVector(1, circuit_unitary(Circuit(1, default_input_gates()))[:, 0])
     state.amplitudes.flags.writeable = False
     return state
 
@@ -181,7 +180,6 @@ def default_input_state() -> StateVector:
 class PerfectResult:
     """Exact and tomographic outcomes of one erasure-plus-decode run."""
 
-    variant: str
     input_state: StateVector
     bell_pair: tuple[int, int]
     transfer_qubit: int
@@ -199,21 +197,15 @@ def run_perfect(
 ) -> PerfectResult:
     """Run the full recovery circuit and measure both decode products."""
     variant = build_randomizer(tag)
-    circuit = build_full_circuit(tag)
     if psi is None:
         psi = default_input_state()
-        circuit = Circuit(3, default_input_gates(0) + circuit.gates)
-        inp = StateVector.ket("000")
-    else:
-        inp = psi.tensor(StateVector.ket("00"))
-    final = run_statevector(circuit, inp)
+    final = run_statevector(build_full_circuit(tag), psi.tensor(StateVector.ket("00")))
 
     (bell_tomo,) = tomo_pipeline([final], variant.bell_pair, shots, seed)
     (transfer_tomo,) = tomo_pipeline([final], [variant.transfer_qubit], shots, seed)
     bell_fid = fidelity_to_pure(bell_tomo.reduced, StateVector(2, variant.bell_state))
     transfer_fid = fidelity_to_pure(transfer_tomo.reduced, psi)
     return PerfectResult(
-        variant=tag,
         input_state=psi,
         bell_pair=variant.bell_pair,
         transfer_qubit=variant.transfer_qubit,
@@ -292,29 +284,19 @@ def depolarized_images(p: float) -> dict[str, np.ndarray]:
     }
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One sweep entry: exact and tomographic metrics at bleaching weight p."""
+class ExperimentRecord(NamedTuple):
+    """One sweep entry at bleaching weight p; its fields are the output columns, in order."""
 
     p: float
-    trace_distance_to_mixed: float
-    fidelity_to_mixed: float
-    fidelity_lower_bound: float
+    trace_distance_exact: float
     trace_distance_tomo: float
+    fidelity_exact: float
     fidelity_tomo: float
+    fidelity_bound: float
     raw_min_eigenvalue: float
-    seed: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p!r} outside [0, 1]")
-        for name in ("fidelity_to_mixed", "fidelity_tomo"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value!r} outside [0, 1]")
-        expected = 1.0 - (1.0 - self.p) / 2.0
-        if self.fidelity_lower_bound != expected:
-            raise ValueError("fidelity_lower_bound must equal 1 - (1-p)/2")
+
+SWEEP_FIELDS = ExperimentRecord._fields
 
 
 DEFAULT_SWEEP_GRID = tuple(math.sin(k * math.pi / 20.0) ** 2 for k in range(11))
@@ -338,6 +320,7 @@ def run_sweep(
     points as one stack. `build_imperfect_circuit(p)` is the per-point
     circuit this reproduces.
     """
+    p_values = [float(p) + 0.0 for p in p_values]  # -0.0 + 0.0 is +0.0: one zero point
     dilutions = [_dilution_gate(p) for p in p_values]
     if not dilutions:
         return []
@@ -357,45 +340,22 @@ def run_sweep(
     measured = distances_to_mixed([t.physical for t in tomos])
     return [
         ExperimentRecord(
-            p=float(p),
-            trace_distance_to_mixed=t_exact,
-            fidelity_to_mixed=f_exact,
-            fidelity_lower_bound=1.0 - (1.0 - float(p)) / 2.0,
+            p=p,
+            trace_distance_exact=t_exact,
             trace_distance_tomo=t_tomo,
+            fidelity_exact=f_exact,
             fidelity_tomo=f_tomo,
+            fidelity_bound=1.0 - (1.0 - p) / 2.0,
             raw_min_eigenvalue=tomo.raw.min_eigenvalue,
-            seed=seed + index,
         )
-        for index, (p, tomo, (t_exact, f_exact), (t_tomo, f_tomo))
-        in enumerate(zip(p_values, tomos, exact, measured))
+        for p, tomo, (t_exact, f_exact), (t_tomo, f_tomo)
+        in zip(p_values, tomos, exact, measured)
     ]
-
-
-SWEEP_FIELDS = (
-    "p",
-    "trace_distance_exact",
-    "trace_distance_tomo",
-    "fidelity_exact",
-    "fidelity_tomo",
-    "fidelity_bound",
-    "raw_min_eigenvalue",
-)
 
 
 def sweep_rows(records: Sequence[ExperimentRecord]) -> list[dict[str, float]]:
-    """Records flattened to the sweep serialization schema."""
-    return [
-        {
-            "p": r.p,
-            "trace_distance_exact": r.trace_distance_to_mixed,
-            "trace_distance_tomo": r.trace_distance_tomo,
-            "fidelity_exact": r.fidelity_to_mixed,
-            "fidelity_tomo": r.fidelity_tomo,
-            "fidelity_bound": r.fidelity_lower_bound,
-            "raw_min_eigenvalue": r.raw_min_eigenvalue,
-        }
-        for r in records
-    ]
+    """Records as JSON rows keyed by SWEEP_FIELDS."""
+    return [r._asdict() for r in records]
 
 
 def bleaching_check(tag: str, psi: StateVector) -> float:

@@ -74,8 +74,6 @@ class ZXDiagram:
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
     _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    # evaluate's read-only result, computed at most once: the diagram is frozen.
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
@@ -354,8 +352,6 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
     """Contract the diagram to a 2^|outputs| x 2^|inputs| matrix."""
     n_in, n_open = len(d.inputs), len(d.inputs) + len(d.outputs)
     _check_budget(n_open, "open legs")
-    if d._matrix is not None:
-        return d._matrix
     order = _canonical_order(d)
     rank = {nid: r for r, nid in enumerate(order)}
     # Global labels: edge k of the rank-sorted edge list is label k.
@@ -400,10 +396,7 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
 
     out_labels = [boundary_labels[r] for r in [*range(n_in, n_open), *range(n_in)]]
     current = current.transpose([live.index(label) for label in out_labels])
-    matrix = current.reshape(2 ** len(d.outputs), 2 ** n_in)
-    matrix.flags.writeable = False
-    object.__setattr__(d, "_matrix", matrix)
-    return matrix
+    return current.reshape(2 ** len(d.outputs), 2 ** n_in)
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +816,8 @@ def run_scripted_derivation() -> DerivationResult:
     that carries the input state (S1 in reverse).
     """
     d = derivation_diagram()
-    if proportionality(evaluate(d), _derivation_target()) is None:
+    initial_matrix = evaluate(d)
+    if proportionality(initial_matrix, _derivation_target()) is None:
         raise DerivationError(0, "build", "diagram does not match the bleaching map")
 
     initial = d
@@ -893,7 +887,7 @@ def run_scripted_derivation() -> DerivationResult:
         run_stage(index, label, body)
 
     check_final_information_flow(d)
-    if proportionality(evaluate(d), evaluate(initial)) is None:
+    if proportionality(evaluate(d), initial_matrix) is None:
         raise DerivationError(len(DERIVATION_STAGES), DERIVATION_STAGES[-1],
                               "final diagram is not proportional to the initial one")
     return DerivationResult(initial, d, tuple(steps), DERIVATION_STAGES, tuple(spans))

@@ -6,8 +6,9 @@ colour refinement it checks. `whole_diagram_scalar` is the former check of
 `zx.apply_rule_checked`, which contracted the whole diagram on both sides of
 a rewrite instead of the region it changed. `per_point_sweep` is the former loop of
 `nohiding.run_sweep`, which simulated, reduced, validated and tomographed each
-sweep point on its own, verbatim but for the name, the deleted `system_state`
-field and the `per_matrix_` and `single_` kernels it calls. Those are the former
+sweep point on its own, verbatim but for the name, the record's field names,
+the deleted `system_state` and `seed` fields and the `per_matrix_` and
+`single_` kernels it calls. Those are the former
 single-matrix tomography of `tomo` (Born probabilities, sampling, estimation,
 `TomogramRaw` validation, reconstruction, projection and the pipeline) and the
 former single-state `qmath.distances_to_mixed`, verbatim but for the names.
@@ -144,13 +145,12 @@ def per_point_sweep(
         t_tomo, f_tomo = single_distances_to_mixed(tomo.physical)
         records.append(ExperimentRecord(
             p=float(p),
-            trace_distance_to_mixed=t_exact,
-            fidelity_to_mixed=f_exact,
-            fidelity_lower_bound=1.0 - (1.0 - float(p)) / 2.0,
+            trace_distance_exact=t_exact,
+            fidelity_exact=f_exact,
+            fidelity_bound=1.0 - (1.0 - float(p)) / 2.0,
             trace_distance_tomo=t_tomo,
             fidelity_tomo=f_tomo,
             raw_min_eigenvalue=tomo.raw.min_eigenvalue,
-            seed=entry_seed,
         ))
     return records
 

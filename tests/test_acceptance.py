@@ -98,10 +98,10 @@ def test_criterion_03_shot_noise_tomography():
 def test_criterion_04_trace_distance_curve():
     records = run_sweep(list(DEFAULT_SWEEP_GRID), shots=None)
     for record in records:
-        assert abs(record.trace_distance_to_mixed - (1 - record.p) / 2) < 1e-10
+        assert abs(record.trace_distance_exact - (1 - record.p) / 2) < 1e-10
     by_p = {round(r.p, 9): r for r in records}
-    assert abs(by_p[0.0].trace_distance_to_mixed - 0.5) < 1e-10
-    assert abs(by_p[round(0.095491503, 9)].trace_distance_to_mixed - 0.4522543) < 1e-7
+    assert abs(by_p[0.0].trace_distance_exact - 0.5) < 1e-10
+    assert abs(by_p[round(0.095491503, 9)].trace_distance_exact - 0.4522543) < 1e-7
     _passed(4, "trace-distance curve", "11 grid points match (1-p)/2")
 
 
@@ -109,12 +109,12 @@ def test_criterion_05_fidelity_curve_and_bound():
     records = run_sweep(list(DEFAULT_SWEEP_GRID), shots=None)
     for record in records:
         closed_form = (math.sqrt(1 - record.p / 2) + math.sqrt(record.p / 2)) / math.sqrt(2)
-        assert abs(record.fidelity_to_mixed - closed_form) < 1e-10
-        assert record.fidelity_to_mixed >= record.fidelity_lower_bound - 1e-12
+        assert abs(record.fidelity_exact - closed_form) < 1e-10
+        assert record.fidelity_exact >= record.fidelity_bound - 1e-12
         if record.p < 1.0:
-            assert record.fidelity_to_mixed > record.fidelity_lower_bound + 1e-6
+            assert record.fidelity_exact > record.fidelity_bound + 1e-6
         else:
-            assert abs(record.fidelity_to_mixed - record.fidelity_lower_bound) < 1e-10
+            assert abs(record.fidelity_exact - record.fidelity_bound) < 1e-10
     _passed(5, "fidelity curve and bound", "closed form and lower bound hold")
 
 

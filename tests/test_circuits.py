@@ -398,3 +398,13 @@ def test_gate_validation():
         Gate("unitary", (0,), matrix=np.ones((2, 2)))
     with pytest.raises(ValueError, match="touches qubit"):
         Circuit(1, (Gate("h", (1,)),))
+
+
+def test_unitary_gates_compare_and_hash_by_payload():
+    a = Gate("unitary", (0,), matrix=np.eye(2))
+    b = Gate("unitary", (0,), matrix=np.eye(2, dtype=complex))
+    assert a == b and hash(a) == hash(b)
+    assert a != Gate("unitary", (0,), matrix=qmath.PAULI_Z)
+    assert a != Gate("unitary", (1,), matrix=np.eye(2))
+    assert len({a, b, Gate("unitary", (0,), matrix=qmath.HADAMARD), Gate("h", (0,))}) == 3
+    assert Circuit(1, (a,)) == Circuit(1, (b,))

@@ -142,6 +142,13 @@ class TestImperfect:
         assert code == 2
         assert "no sweep points" in err
 
+    def test_negative_zero_point_writes_the_bytes_of_zero(self, tmp_path, capsys):
+        outs = [tmp_path / "minus.json", tmp_path / "plus.json"]
+        for p, out in zip(["-0", "0"], outs):
+            argv = ["imperfect", "--grid", "none", "--p", p, "--out", str(out)]
+            assert run_cli(argv, capsys)[0] == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_shot_mode_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["imperfect", "--grid", "none", "--p", "0.3", "--shots", "1024",

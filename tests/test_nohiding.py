@@ -7,7 +7,6 @@ from nohidelab import nohiding, qmath
 from nohidelab.circuits import run_statevector
 from nohidelab.nohiding import (
     DEFAULT_SWEEP_GRID,
-    ExperimentRecord,
     bleaching_check,
     build_erasure_circuit,
     build_full_circuit,
@@ -209,33 +208,34 @@ class TestImperfect:
 class TestSweep:
     def test_exact_endpoints(self):
         records = run_sweep([0.0, 1.0], shots=None)
-        assert records[0].trace_distance_to_mixed == pytest.approx(0.5, abs=1e-10)
-        assert records[0].fidelity_to_mixed == pytest.approx(1 / math.sqrt(2), abs=1e-10)
-        assert records[1].trace_distance_to_mixed == pytest.approx(0.0, abs=1e-10)
-        assert records[1].fidelity_to_mixed == pytest.approx(1.0, abs=1e-10)
+        assert records[0].trace_distance_exact == pytest.approx(0.5, abs=1e-10)
+        assert records[0].fidelity_exact == pytest.approx(1 / math.sqrt(2), abs=1e-10)
+        assert records[1].trace_distance_exact == pytest.approx(0.0, abs=1e-10)
+        assert records[1].fidelity_exact == pytest.approx(1.0, abs=1e-10)
 
     def test_quoted_grid_point(self):
         p = math.sin(math.pi / 10) ** 2
         assert p == pytest.approx(0.095491503, abs=1e-9)
         record = run_sweep([p], shots=None)[0]
-        assert record.trace_distance_to_mixed == pytest.approx(0.4522543, abs=1e-7)
-        assert record.trace_distance_to_mixed == pytest.approx((1 - p) / 2, abs=1e-10)
+        assert record.trace_distance_exact == pytest.approx(0.4522543, abs=1e-7)
+        assert record.trace_distance_exact == pytest.approx((1 - p) / 2, abs=1e-10)
 
     def test_trace_distance_linear_across_grid(self):
         records = run_sweep(list(DEFAULT_SWEEP_GRID), shots=None)
         for r in records:
-            assert r.trace_distance_to_mixed == pytest.approx((1 - r.p) / 2, abs=1e-10)
+            assert r.trace_distance_exact == pytest.approx((1 - r.p) / 2, abs=1e-10)
 
     def test_fidelity_closed_form_and_bound(self):
         records = run_sweep(list(DEFAULT_SWEEP_GRID), shots=None)
         for r in records:
             expected = (math.sqrt(1 - r.p / 2) + math.sqrt(r.p / 2)) / math.sqrt(2)
-            assert r.fidelity_to_mixed == pytest.approx(expected, abs=1e-10)
-            assert r.fidelity_to_mixed >= r.fidelity_lower_bound - 1e-12
+            assert r.fidelity_exact == pytest.approx(expected, abs=1e-10)
+            assert r.fidelity_bound == 1 - (1 - r.p) / 2
+            assert r.fidelity_exact >= r.fidelity_bound - 1e-12
             if r.p < 1.0:
-                assert r.fidelity_to_mixed > r.fidelity_lower_bound + 1e-6
+                assert r.fidelity_exact > r.fidelity_bound + 1e-6
             else:
-                assert r.fidelity_to_mixed == pytest.approx(r.fidelity_lower_bound, abs=1e-10)
+                assert r.fidelity_exact == pytest.approx(r.fidelity_bound, abs=1e-10)
 
     def test_default_grid_contains_quoted_values(self):
         grid = list(DEFAULT_SWEEP_GRID)
@@ -247,25 +247,21 @@ class TestSweep:
     def test_shot_mode_tracks_exact_metrics(self):
         records = run_sweep([0.5], shots=4096, seed=3)
         r = records[0]
-        assert abs(r.trace_distance_tomo - r.trace_distance_to_mixed) < 0.05
-        assert abs(r.fidelity_tomo - r.fidelity_to_mixed) < 0.05
+        assert abs(r.trace_distance_tomo - r.trace_distance_exact) < 0.05
+        assert abs(r.fidelity_tomo - r.fidelity_exact) < 0.05
 
-    def test_per_entry_seeds_derived(self):
+    def test_entry_i_samples_on_seed_plus_i(self):
         records = run_sweep([0.3, 0.3], shots=256, seed=10)
-        assert records[0].seed == 10
-        assert records[1].seed == 11
+        for i, record in enumerate(records):
+            assert record == run_sweep([0.3], shots=256, seed=10 + i)[0]
+        assert records[0] != records[1]
+
+    def test_zero_point_is_positive_zero(self):
+        assert math.copysign(1.0, run_sweep([-0.0], None)[0].p) == 1.0
 
     def test_rows_schema(self):
         rows = sweep_rows(run_sweep([0.0], shots=None))
         assert list(rows[0]) == list(nohiding.SWEEP_FIELDS)
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError, match="lower_bound"):
-            ExperimentRecord(
-                p=0.5, trace_distance_to_mixed=0.25, fidelity_to_mixed=0.9,
-                fidelity_lower_bound=0.9, trace_distance_tomo=0.25,
-                fidelity_tomo=0.9, raw_min_eigenvalue=0.2, seed=0,
-            )
 
     def test_empty_sweep(self, monkeypatch):
         def no_simulation(*args):
