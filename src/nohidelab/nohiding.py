@@ -201,8 +201,8 @@ def run_perfect(
         psi = default_input_state()
     final = run_statevector(build_full_circuit(tag), psi.tensor(StateVector.ket("00")))
 
-    (bell_tomo,) = tomo_pipeline([final], variant.bell_pair, shots, seed)
-    (transfer_tomo,) = tomo_pipeline([final], [variant.transfer_qubit], shots, seed)
+    (bell_tomo,) = tomo_pipeline([partial_trace(final, variant.bell_pair)], shots, seed)
+    (transfer_tomo,) = tomo_pipeline([partial_trace(final, [variant.transfer_qubit])], shots, seed)
     bell_fid = fidelity_to_pure(bell_tomo.reduced, StateVector(2, variant.bell_state))
     transfer_fid = fidelity_to_pure(transfer_tomo.reduced, psi)
     return PerfectResult(
@@ -335,7 +335,7 @@ def run_sweep(
                             inputs.reshape((len(dilutions),) + (2,) * 4))
     m = np.moveaxis(final, 1 + _IMPERFECT_SYSTEM_WIRE, 1).reshape(len(dilutions), 2, 8)
     systems = DensityMatrix.stack(1, m @ m.conj().swapaxes(1, 2))
-    tomos = tomo_pipeline(systems, [0], shots, seed)
+    tomos = tomo_pipeline(systems, shots, seed)
     exact = distances_to_mixed(systems)
     measured = distances_to_mixed([t.physical for t in tomos])
     return [
@@ -346,7 +346,7 @@ def run_sweep(
             fidelity_exact=f_exact,
             fidelity_tomo=f_tomo,
             fidelity_bound=1.0 - (1.0 - p) / 2.0,
-            raw_min_eigenvalue=tomo.raw.min_eigenvalue,
+            raw_min_eigenvalue=tomo.raw_min_eigenvalue,
         )
         for p, tomo, (t_exact, f_exact), (t_tomo, f_tomo)
         in zip(p_values, tomos, exact, measured)

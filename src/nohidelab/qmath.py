@@ -161,30 +161,22 @@ class DensityMatrix:
     @classmethod
     def stack(cls, num_qubits: int, matrices: np.ndarray) -> list["DensityMatrix"]:
         """One DensityMatrix per matrix of a (P, d, d) stack, all validated by
-        one stacked eigensolve; each keeps read-only views of its slice of the
-        stacked spectrum, and its matrix is a view of the stack."""
+        one stacked eigensolve and built without validating again; each keeps
+        read-only views of its slice of the stacked spectrum, and its matrix is
+        a view of the stack."""
         m = np.asarray(matrices, dtype=complex)
-        spectra = _density_spectra(m, num_qubits, stacked=True)
-        return stack_members(cls, m, spectra, num_qubits=num_qubits)
+        w, v = _density_spectra(m, num_qubits, stacked=True)
+        members = []
+        for i in range(len(m)):
+            member = object.__new__(cls)
+            object.__setattr__(member, "num_qubits", num_qubits)
+            object.__setattr__(member, "matrix", m[i])
+            object.__setattr__(member, "spectrum", (w[i], v[i]))
+            members.append(member)
+        return members
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def stack_members(cls, m: np.ndarray, spectra: tuple[np.ndarray, np.ndarray], **fields) -> list:
-    """One frozen `cls` per matrix of the validated stack `m`, built without
-    running its validation again: each gets `fields`, its matrix as a view of
-    the stack, and read-only views of its slice of the stacked `spectra`."""
-    w, v = spectra
-    members = []
-    for i in range(len(m)):
-        member = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(member, name, value)
-        object.__setattr__(member, "matrix", m[i])
-        object.__setattr__(member, "spectrum", (w[i], v[i]))
-        members.append(member)
-    return members
 
 
 def _density_spectra(
@@ -295,17 +287,12 @@ def partial_trace_matrix(m: np.ndarray, num_qubits: int, keep: Sequence[int]) ->
 def partial_trace(state: StateVector | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduced state on `keep` (in the given order); trace is preserved.
 
-    A DensityMatrix whose `keep` is all of its qubits, in order, is returned
-    as it is, already validated.
-
     A pure state is reduced from its amplitudes, as M M^dagger with M the
     amplitudes reshaped to (kept, traced) axes, so no 2^n x 2^n matrix is formed.
     """
     n = state.num_qubits
     keep = _keep_list(keep, n)
     if isinstance(state, DensityMatrix):
-        if keep == list(range(n)):
-            return state
         reduced = partial_trace_matrix(state.matrix, n, keep)
     else:
         traced = [q for q in range(n) if q not in keep]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,11 +31,8 @@ from .qmath import (
     I2,
     PAULIS,
     DensityMatrix,
-    StateVector,
     fidelity,
-    partial_trace,
-    read_only_eig,
-    stack_members,
+    hermitian_eig,
     trace_distance,
 )
 
@@ -151,53 +147,10 @@ def estimate_expectations(
     return dict(zip(paulis, np.array(values)))
 
 
-def _raw_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only spectrum of a raw tomogram, or the stacked spectra of a
-    stack. Raises ValueError unless every matrix is Hermitian and unit trace."""
-    spectrum = read_only_eig(m, tol=1e-9)
-    for tr in np.trace(m, axis1=-2, axis2=-1).reshape(-1):
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"raw tomogram trace {complex(tr)!r} differs from 1")
-    return spectrum
-
-
-@dataclass(frozen=True)
-class TomogramRaw:
-    """Linear-inversion reconstruction; Hermitian and unit trace, PSD not required.
-
-    Its eigendecomposition is kept, read-only, in `spectrum` (descending
-    eigenvalues, eigenvector columns) for `min_eigenvalue` and projection.
-    """
-
-    matrix: np.ndarray
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "spectrum", _raw_spectra(m))
-
-    @classmethod
-    def stack(cls, matrices: np.ndarray) -> list["TomogramRaw"]:
-        """One TomogramRaw per matrix of a (P, d, d) stack, all validated by
-        one stacked eigensolve, as `DensityMatrix.stack`."""
-        m = np.asarray(matrices, dtype=complex)
-        if m.ndim != 3:
-            raise ValueError(f"expected a stack of matrices, got shape {m.shape}")
-        return stack_members(cls, m, _raw_spectra(m))
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.spectrum[0][-1])
-
-    @property
-    def num_qubits(self) -> int:
-        return int(round(math.log2(self.matrix.shape[0])))
-
-
-def reconstruct(expectations: Mapping[str, np.ndarray], num_qubits: int) -> list[TomogramRaw]:
-    """Linear inversion rho = (I + sum <P> P) / 2^n of each point of a stack,
-    from the (P,) expectations of every Pauli."""
+def reconstruct(expectations: Mapping[str, np.ndarray], num_qubits: int) -> np.ndarray:
+    """The raw (P, 2^n, 2^n) stack of linear inversions rho = (I + sum <P> P) / 2^n,
+    from the (P,) expectations of every Pauli: Hermitian and unit trace, PSD
+    not required."""
     if num_qubits not in (1, 2):
         raise ValueError(f"reconstruction supports 1 or 2 qubits, got {num_qubits}")
     dim = 2 ** num_qubits
@@ -207,12 +160,13 @@ def reconstruct(expectations: Mapping[str, np.ndarray], num_qubits: int) -> list
             raise ValueError(f"missing expectation for Pauli {pauli!r}")
         rho = rho + expectations[pauli][:, None, None] * pauli_matrix(pauli)
     rho /= dim
-    return TomogramRaw.stack(rho)
+    return rho
 
 
-def project_physical(raws: Sequence[TomogramRaw]) -> list[DensityMatrix]:
+def project_physical(w: np.ndarray, v: np.ndarray) -> list[DensityMatrix]:
     """Closest PSD unit-trace matrix in Frobenius norm to each raw tomogram of
-    a stack, all validated by one stacked eigensolve.
+    a stack, from its descending eigenvalues `w` (P, d) and eigenvector columns
+    `v` (P, d, d); all validated by one stacked eigensolve.
 
     Eigenvalue truncation: walk the spectrum from the most negative value,
     zero it, and spread the deficit uniformly over the eigenvalues still in
@@ -222,8 +176,6 @@ def project_physical(raws: Sequence[TomogramRaw]) -> list[DensityMatrix]:
     largest k whose level w_k + deficit_k / (k + 1) is nonnegative. Index 0
     always qualifies, as its level is the trace.
     """
-    w = np.array([raw.spectrum[0] for raw in raws])  # descending
-    v = np.array([raw.spectrum[1] for raw in raws])
     points, d = w.shape
     deficit = np.zeros((points, d))
     deficit[:, :-1] = w[:, :0:-1].cumsum(axis=1)[:, ::-1]
@@ -235,34 +187,33 @@ def project_physical(raws: Sequence[TomogramRaw]) -> list[DensityMatrix]:
     diag[:, np.arange(d), np.arange(d)] = out
     fixed = v @ diag @ v.conj().swapaxes(-1, -2)
     fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
-    return DensityMatrix.stack(raws[0].num_qubits, fixed)
+    return DensityMatrix.stack(d.bit_length() - 1, fixed)
 
 
 class TomoResult(NamedTuple):
     """Tomography of one reduced state and the exact state it was measured from."""
 
-    raw: TomogramRaw
+    raw_min_eigenvalue: float
     physical: DensityMatrix
     reduced: DensityMatrix
 
 
 def tomo_pipeline(
-    states: Sequence[StateVector | DensityMatrix],
-    qubits: Sequence[int],
-    shots: int | None,
-    seed: int = 0,
+    reduced: Sequence[DensityMatrix], shots: int | None, seed: int = 0
 ) -> list[TomoResult]:
-    """Measure, reconstruct, and project the reduced state on `qubits` of each
-    state, all as one stack; state i draws on the streams of seed + i.
+    """Measure, reconstruct, and project each of the 1- or 2-qubit states
+    `reduced`, all of one size, as one stack; state i draws on the streams
+    of seed + i.
 
     shots=None is the exact mode: sampling is bypassed and the exact Pauli
-    expectations feed the reconstruction directly.
+    expectations feed the reconstruction directly. The raw stack is
+    decomposed once, which rejects a NaN or a non-Hermitian tomogram.
     """
-    qubits = list(qubits)
-    if not 1 <= len(qubits) <= 2:
-        raise ValueError("tomography supports 1 or 2 qubits")
-    reduced = [partial_trace(state, qubits) for state in states]
-    n = len(qubits)
+    if not reduced:
+        return []
+    n = reduced[0].num_qubits
+    if not 1 <= n <= 2 or any(rho.num_qubits != n for rho in reduced):
+        raise ValueError("tomography supports 1 or 2 qubits, in states of one size")
     matrices = np.array([rho.matrix for rho in reduced])
     if shots is None:
         expectations = exact_expectations(matrices)
@@ -274,15 +225,15 @@ def tomo_pipeline(
             for b, basis in enumerate(_bases(n))
         }
         expectations = estimate_expectations(counts_by_basis, n)
-    raws = reconstruct(expectations, n)
-    return [TomoResult(*t) for t in zip(raws, project_physical(raws), reduced)]
+    w, v = hermitian_eig(reconstruct(expectations, n), tol=1e-9)
+    return [TomoResult(*t) for t in zip(w[:, -1].tolist(), project_physical(w, v), reduced)]
 
 
 def report_dict(result: TomoResult) -> dict:
     """JSON-ready tomography report against the exact reduced state."""
     phys = result.physical
     return {
-        "raw_min_eigenvalue": result.raw.min_eigenvalue,
+        "raw_min_eigenvalue": result.raw_min_eigenvalue,
         "fidelity": fidelity(phys, result.reduced),
         "trace_distance": trace_distance(phys, result.reduced),
         "matrix_re": phys.matrix.real,

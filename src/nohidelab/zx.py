@@ -139,10 +139,12 @@ def _phase_is_zero(phase: complex) -> bool:
 
 
 def _norm_phase(phase: complex) -> complex:
-    re = math.fmod(phase.real, 2.0 * math.pi)
+    """The phase with its real part in [0, 2pi): a negative zero becomes +0.0,
+    and a tiny negative part that rounds up to 2pi when shifted becomes 0.0."""
+    re = math.fmod(phase.real, 2.0 * math.pi) + 0.0
     if re < 0.0:
         re += 2.0 * math.pi
-    return complex(re, phase.imag)
+    return complex(re if re < 2.0 * math.pi else 0.0, phase.imag)
 
 
 class _Builder:

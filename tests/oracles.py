@@ -10,8 +10,9 @@ sweep point on its own, verbatim but for the name, the record's field names,
 the deleted `system_state` and `seed` fields and the `per_matrix_` and
 `single_` kernels it calls. Those are the former
 single-matrix tomography of `tomo` (Born probabilities, sampling, estimation,
-`TomogramRaw` validation, reconstruction, projection and the pipeline) and the
-former single-state `qmath.distances_to_mixed`, verbatim but for the names.
+`TomogramRaw` validation, reconstruction, projection and the pipeline, whose
+result keeps the fields of the former `tomo.TomoResult`) and the former
+single-state `qmath.distances_to_mixed`, verbatim but for the names.
 `string_estimate_expectations` is the former `tomo.estimate_expectations`,
 verbatim but for the name: it reads bitstring-keyed count dicts, held in
 `ShotCounts` (the fields of the former `tomo.ShotCounts`, unvalidated), and
@@ -49,7 +50,6 @@ from nohidelab.qmath import (
 from nohidelab.tomo import (
     _ROTATION,
     BASIS_CHARS,
-    TomoResult,
     _rng_for,
     _sign_vector,
     pauli_matrix,
@@ -304,12 +304,20 @@ def per_matrix_project_physical(raw: PerMatrixTomogramRaw) -> DensityMatrix:
     return DensityMatrix(raw.num_qubits, fixed)
 
 
+class PerMatrixTomoResult(NamedTuple):
+    """Tomography of one reduced state and the exact state it was measured from."""
+
+    raw: PerMatrixTomogramRaw
+    physical: DensityMatrix
+    reduced: DensityMatrix
+
+
 def per_matrix_tomo_pipeline(
     state: StateVector | DensityMatrix,
     qubits: Sequence[int],
     shots: int | None,
     seed: int = 0,
-) -> TomoResult:
+) -> PerMatrixTomoResult:
     """Measure, reconstruct, and project the reduced state on `qubits`.
 
     shots=None is the exact mode: sampling is bypassed and the exact Pauli
@@ -330,7 +338,7 @@ def per_matrix_tomo_pipeline(
         expectations = per_matrix_estimate_expectations(counts_by_basis, n)
     raw = per_matrix_reconstruct(expectations, n)
     physical = per_matrix_project_physical(raw)
-    return TomoResult(raw, physical, reduced)
+    return PerMatrixTomoResult(raw, physical, reduced)
 
 
 def single_distances_to_mixed(rho: DensityMatrix) -> tuple[float, float]:

@@ -71,6 +71,7 @@ class TestPerfect:
     @pytest.mark.parametrize("golden, argv", [
         ("perfect_golden_eq2.json", ["--variant", "eq2", "--shots", "8192", "--seed", "3"]),
         ("perfect_golden_eq6_sparse.json", ["--variant", "eq6", "--shots", "5", "--seed", "2"]),
+        ("perfect_golden_eq1_exact.json", ["--variant", "eq1"]),
     ])
     def test_shot_run_matches_golden_bytes(self, tmp_path, capsys, golden, argv):
         out = tmp_path / "perfect.json"
@@ -183,6 +184,11 @@ class TestZxCommand:
         final = zx.replay_trace(initial, steps)
         assert zx.diagram_to_json_dict(final) == data["derivation"]["final"]
 
+    def test_run_matches_golden_bytes(self, tmp_path, capsys):
+        out = tmp_path / "zx.json"
+        assert run_cli(["zx", "--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / "zx_golden.json").read_bytes()
+
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(["zx", "--out", str(a)], capsys)
@@ -267,14 +273,15 @@ class TestSimulate:
     (["perfect", "--shots", "8192"], 10),
 ])
 def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
-    # One per validated DensityMatrix or TomogramRaw stack, and one per trace
-    # distance and fidelity that `perfect` reports between two states. Pure
-    # states are reduced without forming their density matrix, distances to
-    # I/2 and to pure targets need none, and fidelity and projection reuse
-    # stored spectra. The sweep validates its 11 exact system states, their
-    # 11 raw tomograms and the 11 projections as three stacks: 1 + 1 + 1.
-    # `perfect` tomographs one state at a time: per product, its reduced
-    # state, raw and projected tomograms, fidelity and trace distance.
+    # One per validated DensityMatrix stack, one per stack of raw tomograms
+    # that `tomo_pipeline` decomposes, and one per trace distance and fidelity
+    # that `perfect` reports between two states. Pure states are reduced
+    # without forming their density matrix, distances to I/2 and to pure
+    # targets need none, and fidelity and projection reuse spectra already
+    # computed. The sweep decomposes its 11 exact system states, their 11 raw
+    # tomograms and the 11 projections as three stacks: 1 + 1 + 1. `perfect`
+    # tomographs one state at a time: per product, its reduced state, raw and
+    # projected tomograms, fidelity and trace distance.
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(eigh_calls) == eigensolves

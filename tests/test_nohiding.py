@@ -22,12 +22,62 @@ from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 
 from conftest import random_state
 
+# The Paulis written out, so the checks below share nothing with nohiding's blocks.
+_PAULIS = {
+    "I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.array([[1, 0], [0, -1]]),
+}
+_HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+def _rotation_x(angle: float) -> np.ndarray:
+    """exp(-i angle X)."""
+    return math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * _PAULIS["X"]
+
+
+def ancilla_map(out: int, inp: int) -> np.ndarray:
+    """|out><in| on the two ancillas."""
+    m = np.zeros((4, 4))
+    m[out, inp] = 1.0
+    return m
+
 
 class TestRandomizer:
     def test_all_variants_unitary_controlled_pauli(self):
         for tag in nohiding.VARIANT_TAGS:
             v = build_randomizer(tag)
             assert qmath.is_unitary(v.matrix, 1e-12)
+
+    @pytest.mark.parametrize("tag", nohiding.VARIANT_TAGS)
+    def test_each_ancilla_input_applies_one_signed_pauli(self, tag):
+        m = build_randomizer(tag).matrix
+        for anc_in in range(4):
+            # m restricted to ancilla input |anc_in> must be c P (x) |out><in|
+            # for exactly one output, sign or phase c and Pauli P.
+            columns = m @ np.kron(np.eye(2), ancilla_map(anc_in, anc_in))
+            matches = [
+                (anc_out, c, name)
+                for anc_out in range(4) for name, pauli in _PAULIS.items()
+                for c in (1, -1, 1j, -1j)
+                if np.abs(columns - np.kron(c * pauli, ancilla_map(anc_out, anc_in))).max() < 1e-12
+            ]
+            assert len(matches) == 1, (anc_in, matches)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.eye(4), "randomizer must be an 8x8 matrix"),
+        (2.0 * np.eye(8), "randomizer is not unitary"),
+        # unitary, one output block per input, but that block is H
+        (np.kron(_HADAMARD, np.eye(4)), r"input \|00> does not map through a single signed Pauli"),
+        # unitary, and each input's first block is a signed Pauli within 1e-10,
+        # but a 1e-11 rotation of ancilla A leaks it into a second block
+        (np.kron(np.kron(np.eye(2), _rotation_x(1e-11)), np.eye(2))
+         @ build_randomizer("eq1").matrix,
+         r"input \|00> does not map through a single signed Pauli"),
+    ])
+    def test_variant_rejects_a_matrix_that_is_not_a_controlled_pauli(self, matrix, message):
+        v = build_randomizer("eq1")
+        with pytest.raises(ValueError, match=message):
+            nohiding.RandomizerVariant("bad", matrix, v.transfer_qubit, v.bell_pair, v.bell_state)
 
     def test_first_variant_has_identity_block(self):
         # ancillas in |00> leave the system untouched

@@ -293,13 +293,6 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="2x2 matrix stack"):
             DensityMatrix.stack(1, np.eye(2))
 
-    def test_full_partial_trace_returns_the_validated_state(self, rng, eigh_calls):
-        rho = random_density(rng, 2)
-        del eigh_calls[:]
-        assert partial_trace(rho, [0, 1]) is rho
-        assert partial_trace(rho, [1, 0]) is not rho
-        assert len(eigh_calls) == 1
-
     def test_predicates(self):
         assert qmath.is_unitary(qmath.HADAMARD)
         assert not qmath.is_unitary(np.ones((2, 2)))

@@ -7,7 +7,6 @@ import pytest
 from nohidelab import nohiding, qmath, tomo
 from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
 from nohidelab.tomo import (
-    TomogramRaw,
     born_probabilities,
     estimate_expectations,
     exact_expectations,
@@ -39,13 +38,14 @@ def exact_of(rho: DensityMatrix) -> dict[str, float]:
     return {p: e[0] for p, e in exact_expectations(rho.matrix[None]).items()}
 
 
-def raw_of(expectations: dict[str, float], num_qubits: int) -> TomogramRaw:
+def raw_of(expectations: dict[str, float], num_qubits: int) -> np.ndarray:
     """reconstruct of one point."""
     return reconstruct({p: np.array([e]) for p, e in expectations.items()}, num_qubits)[0]
 
 
-def projected(raw: TomogramRaw) -> DensityMatrix:
-    return project_physical([raw])[0]
+def projected(raw: np.ndarray) -> DensityMatrix:
+    """project_physical of one raw matrix, decomposed as tomo_pipeline does."""
+    return project_physical(*qmath.hermitian_eig(raw[None], tol=1e-9))[0]
 
 
 def parities(counts: list[int]) -> dict[str, float]:
@@ -168,28 +168,27 @@ class TestExpectation:
 class TestReconstruct:
     def test_zero_expectations_give_mixed(self):
         raw = raw_of({"X": 0.0, "Y": 0.0, "Z": 0.0}, 1)
-        assert np.abs(raw.matrix - np.eye(2) / 2).max() < 1e-12
-        assert raw.min_eigenvalue == pytest.approx(0.5, abs=1e-12)
+        assert np.abs(raw - np.eye(2) / 2).max() < 1e-12
+        assert qmath.hermitian_eig(raw)[0][-1] == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_expectations_recover_tilted_state(self):
         psi = tilted_state()
         inv_sqrt2 = 1 / math.sqrt(2)
         raw = raw_of({"X": inv_sqrt2, "Y": 0.0, "Z": inv_sqrt2}, 1)
-        assert np.abs(raw.matrix - psi.to_density().matrix).max() < 1e-12
+        assert np.abs(raw - psi.to_density().matrix).max() < 1e-12
 
     def test_two_qubit_bell_exact(self):
         bell = StateVector.from_amplitudes(np.array([0, 1, 1, 0]) / math.sqrt(2))
         rho = bell.to_density()
         raw = raw_of(exact_of(rho), 2)
-        assert np.abs(raw.matrix - rho.matrix).max() < 1e-12
+        assert np.abs(raw - rho.matrix).max() < 1e-12
 
     def test_inverse_of_pauli_decomposition(self, rng):
         for n in (1, 2):
             matrices = np.array([random_density(rng, n).matrix for _ in range(10)])
             raws = reconstruct(exact_expectations(matrices), n)
-            assert len(raws) == 10
-            for raw, m in zip(raws, matrices):
-                assert np.abs(raw.matrix - m).max() < 1e-12
+            assert raws.shape == matrices.shape
+            assert np.abs(raws - matrices).max() < 1e-12
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing expectation for Pauli 'Y'"):
@@ -199,9 +198,10 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="1 or 2"):
             reconstruct({}, 3)
 
-    def test_raw_stack_needs_a_stack(self):
-        with pytest.raises(ValueError, match="expected a stack of matrices, got shape"):
-            TomogramRaw.stack(np.eye(2) / 2)
+    def test_raw_tomogram_of_one_point_is_a_stack_of_one(self):
+        raw = reconstruct({p: np.array([0.0]) for p in ("X", "Y", "Z")}, 1)
+        assert raw.shape == (1, 2, 2)
+        assert np.array_equal(raw[0], np.eye(2) / 2)
 
 
 def _simplex_grid_best(target: np.ndarray, step: float = 0.01) -> float:
@@ -229,21 +229,18 @@ class TestProjectPhysical:
         assert np.abs(fixed.matrix - rho.matrix).max() < 1e-10
 
     def test_reuses_the_tomogram_spectrum(self, rng, eigh_calls):
-        expectations = exact_expectations(np.array([random_density(rng, 2).matrix
-                                                    for _ in range(3)]))
+        states = [random_density(rng, 2) for _ in range(3)]
+        raws = reconstruct(exact_expectations(np.array([rho.matrix for rho in states])), 2)
+        w, _ = qmath.hermitian_eig(raws, tol=1e-9)
         eigh_calls.clear()
-        raws = reconstruct(expectations, 2)
-        assert len(eigh_calls) == 1  # the stack's own validation
-        for raw in raws:
-            w, v = raw.spectrum
-            assert not w.flags.writeable and not v.flags.writeable
-            assert raw.min_eigenvalue == w[-1]
-        eigh_calls.clear()
-        assert len(project_physical(raws)) == 3
-        assert len(eigh_calls) == 1  # the projected stack's PSD check
+        results = tomo_pipeline(states, shots=None)
+        # One stacked eigensolve of the raw tomograms gives both the smallest
+        # eigenvalues and the projection; the other is the projected stack's PSD check.
+        assert len(eigh_calls) == 2
+        assert [r.raw_min_eigenvalue for r in results] == w[:, -1].tolist()
 
     def test_two_level_example(self):
-        raw = TomogramRaw(np.diag([1.1, -0.1]).astype(complex))
+        raw = np.diag([1.1, -0.1]).astype(complex)
         fixed = projected(raw)
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [1.0, 0.0]).max() < 1e-12
@@ -254,7 +251,7 @@ class TestProjectPhysical:
 
     def test_four_level_redistribution_vs_grid_oracle(self):
         spectrum = np.array([0.8, 0.5, -0.2, -0.1])
-        raw = TomogramRaw(np.diag(spectrum).astype(complex))
+        raw = np.diag(spectrum).astype(complex)
         fixed = projected(raw)
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [0.65, 0.35, 0.0, 0.0]).max() < 1e-12
@@ -262,9 +259,9 @@ class TestProjectPhysical:
         assert ours <= _simplex_grid_best(spectrum, step=0.01) + 1e-6
 
     def test_idempotent(self, rng):
-        raw = TomogramRaw(np.diag([0.9, 0.4, -0.1, -0.2]).astype(complex))
+        raw = np.diag([0.9, 0.4, -0.1, -0.2]).astype(complex)
         once = projected(raw)
-        twice = projected(TomogramRaw(once.matrix))
+        twice = projected(once.matrix)
         assert np.abs(once.matrix - twice.matrix).max() < 1e-12
 
     def test_never_increases_distance_to_physical_states(self, rng):
@@ -275,10 +272,9 @@ class TestProjectPhysical:
             v = np.column_stack([basis.amplitudes,
                                  np.array([-basis.amplitudes[1].conj(), basis.amplitudes[0].conj()])])
             raw_m = v @ np.diag(spectrum.astype(complex)) @ v.conj().T
-            raw = TomogramRaw(raw_m)
-            fixed = projected(raw)
+            fixed = projected(raw_m)
             sigma = random_density(rng, 1)
-            before = np.linalg.norm(raw.matrix - sigma.matrix)
+            before = np.linalg.norm(raw_m - sigma.matrix)
             after = np.linalg.norm(fixed.matrix - sigma.matrix)
             assert after <= before + 1e-10
 
@@ -286,9 +282,9 @@ class TestProjectPhysical:
 class TestPipeline:
     def test_exact_mode_is_lossless(self, rng):
         rho = random_density(rng, 3)
-        (result,) = tomo_pipeline([rho], [0, 2], shots=None)
+        (result,) = tomo_pipeline([partial_trace(rho, [0, 2])], shots=None)
         assert qmath.fidelity(result.physical, result.reduced) == pytest.approx(1.0, abs=1e-10)
-        assert result.raw.min_eigenvalue > -1e-12
+        assert result.raw_min_eigenvalue > -1e-12
 
     def test_estimates_match_exact_at_large_shots(self):
         rho = tilted_state().to_density()
@@ -334,11 +330,19 @@ class TestPipeline:
 
     def test_qubit_count_limit(self, rng):
         with pytest.raises(ValueError, match="1 or 2"):
-            tomo_pipeline([random_density(rng, 3)], [0, 1, 2], shots=None)
+            tomo_pipeline([random_density(rng, 3)], shots=None)
+
+    def test_states_of_mixed_sizes_rejected(self, rng):
+        with pytest.raises(ValueError, match="states of one size"):
+            tomo_pipeline([random_density(rng, 1), random_density(rng, 2)], shots=8)
+
+    def test_no_states_give_no_results(self):
+        assert tomo_pipeline([], shots=None) == []
+        assert tomo_pipeline([], shots=1024, seed=3) == []
 
     def test_report_schema(self, rng):
         rho = random_density(rng, 1)
-        (result,) = tomo_pipeline([rho], [0], shots=None)
+        (result,) = tomo_pipeline([rho], shots=None)
         report = tomo.report_dict(result)
         assert set(report) == {
             "raw_min_eigenvalue", "fidelity", "trace_distance", "matrix_re", "matrix_im",
@@ -350,16 +354,19 @@ class TestPipeline:
     def test_reduced_is_the_exact_partial_trace(self, rng):
         rho = random_density(rng, 3)
         for qubits in ([1], [2, 0]):
-            (result,) = tomo_pipeline([rho], qubits, shots=512, seed=4)
-            assert np.array_equal(result.reduced.matrix, partial_trace(rho, qubits).matrix)
+            reduced = partial_trace(rho, qubits)
+            (result,) = tomo_pipeline([reduced], shots=512, seed=4)
+            assert result.reduced is reduced
             assert tomo.report_dict(result)["fidelity"] == qmath.fidelity(
                 result.physical, result.reduced
             )
 
     def test_state_i_of_a_stack_samples_on_seed_plus_i(self, rng):
-        states = [random_state(rng, 3), random_density(rng, 3), random_state(rng, 3)]
-        stacked = tomo_pipeline(states, [2, 0], shots=64, seed=10)
+        states = [partial_trace(s, [2, 0]) for s in
+                  (random_state(rng, 3), random_density(rng, 3), random_state(rng, 3))]
+        stacked = tomo_pipeline(states, shots=64, seed=10)
         for i, (state, got) in enumerate(zip(states, stacked)):
-            (alone,) = tomo_pipeline([state], [2, 0], shots=64, seed=10 + i)
-            for a, b in zip(got, alone):
+            (alone,) = tomo_pipeline([state], shots=64, seed=10 + i)
+            assert got.raw_min_eigenvalue == alone.raw_min_eigenvalue
+            for a, b in zip(got[1:], alone[1:]):
                 assert a.matrix.tobytes() == b.matrix.tobytes()

@@ -319,6 +319,29 @@ class TestApplyRule:
         assert phases == pytest.approx([0.4, 0.5])
         assert abs(step.scalar_check - 1) < 1e-9
 
+    @pytest.mark.parametrize("phase, want", [
+        (-1e-17, 0.0), (-0.0, 0.0), (2 * math.pi, 0.0), (-2 * math.pi, 0.0),
+        (7.0, 7.0 - 2 * math.pi), (-7.0, 2 * math.pi - (7.0 - 2 * math.pi)),
+        (1e300, math.fmod(1e300, 2 * math.pi)),
+    ])
+    def test_normalised_phase_is_in_0_to_2pi_without_negative_zero(self, phase, want):
+        got = zx._norm_phase(complex(phase, 0.5)).real
+        assert 0.0 <= got < 2 * math.pi
+        assert math.copysign(1.0, got) == 1.0
+        assert got == pytest.approx(want, abs=1e-15)
+
+    def test_unfusing_a_tiny_phase_leaves_zero_not_2pi(self):
+        d = apply_rule(spider_map(1, 1, "Z"), "S1", ("unfuse", 0, (), (1e-17, 0.0)))
+        assert d.nodes[0].phase == 0.0
+        assert all(node.phase.real < 2 * math.pi for node in d.nodes.values())
+
+    def test_negative_zero_phase_from_json_is_written_as_zero(self):
+        doc = diagram_to_json_dict(spider_map(1, 1, "Z"))
+        doc["nodes"][0]["phase"] = -0.0
+        d = apply_rule(diagram_from_json_dict(doc), "S1", ("unfuse", 0, (), (0.0, 0.0)))
+        phases = [node["phase"] for node in diagram_to_json_dict(d)["nodes"]]
+        assert [math.copysign(1.0, p) for p in phases] == [1.0] * len(phases)
+
     def test_narrow_rewrite_on_wide_diagram_verifies(self):
         # Only the region a rewrite changed is contracted: the two H boxes in
         # front of a ladder that evaluate refuses as a whole.
