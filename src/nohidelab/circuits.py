@@ -1,6 +1,6 @@
 """Circuit IR, text-format parser, and the exact statevector simulator.
 
-Text format (UTF-8, one statement per line):
+Text format (UTF-8, one statement per line; lines end at "\n", "\r\n" or "\r"):
 
     qubits N            header, required first statement; 1 <= N <= MAX_QUBITS
     h q | x q | y q | z q | s q | t q
@@ -239,8 +239,14 @@ def ascii_float(text: str) -> float:
     return float(text)
 
 
+# Lines end at "\r\n", "\r" or "\n" only. str.splitlines also breaks at \v, \f,
+# \x1c-\x1e, \x85, U+2028 and U+2029, which editors show inside a line: a
+# gate after one of them would escape a comment.
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
 def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         cut = raw.find("#")
         if cut >= 0:
             raw = raw[:cut]

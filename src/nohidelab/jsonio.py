@@ -70,11 +70,15 @@ def _render_rows(value: np.ndarray, indent: int) -> str:
     batches = []
     for start in range(0, len(value), ROWS_PER_BATCH):
         block = value[start:start + ROWS_PER_BATCH]
-        cells = [format(x, ".17g") for x in block.ravel().tolist()]
-        # format_float's ".0" suffix: integral values below 1e17 in magnitude
-        # are exactly those .17g prints with neither "." nor "e".
-        for i in np.flatnonzero((block == np.floor(block)) & (np.abs(block) < 1e17)).tolist():
-            cells[i] += ".0"
+        flat = block.ravel()
+        # Zeros, most cells of a sparse state, are not formatted: "0.0" for now.
+        cells = [format(x, ".17g") if x else "0.0" for x in flat.tolist()]
+        # Where format_float's text differs: integral values below 1e17 in
+        # magnitude, exactly those .17g prints with neither "." nor "e", take
+        # ".0", and -0.0 takes its sign. +0.0, whose bits are all zero, is done.
+        fix = (flat == np.floor(flat)) & (np.abs(flat) < 1e17) & (flat.view(np.int64) != 0)
+        for i in np.flatnonzero(fix).tolist():
+            cells[i] = "-0.0" if cells[i] == "0.0" else cells[i] + ".0"
         batches.append(("," + outer).join([row] * len(block)) % tuple(cells))
     return "[" + outer + ("," + outer).join(batches) + outer[:-2] + "]"
 

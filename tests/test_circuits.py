@@ -126,6 +126,22 @@ class TestParser:
             parse_circuit(text)
         assert (err.value.line, err.value.col) == (line, col)
 
+    # str.splitlines also ends a line at each of these; the text format reads
+    # them as blanks inside a line.
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"], ids=ascii)
+    def test_only_cr_and_lf_end_a_line(self, sep):
+        assert parse_circuit(f"qubits 1\n# note{sep}x 0\n").gates == ()
+        assert parse_circuit(f"qubits 1{sep}\nh{sep}0").gates == (Gate("h", (0,)),)
+        with pytest.raises(CircuitParseError, match="unknown mnemonic 'bad'") as err:
+            parse_circuit(f"qubits 1\n{sep}\nbad 0\n")
+        assert err.value.line == 3
+
+    def test_line_numbers_count_cr_lf_and_crlf(self):
+        with pytest.raises(CircuitParseError, match="unknown mnemonic 'bad'") as err:
+            parse_circuit("qubits 1\r\nh 0\rh 0\n\r\n\n\rbad 0\r\n")
+        assert (err.value.line, err.value.col) == (7, 1)
+
     def test_ascii_number_grammar(self):
         for text in ("0", "007", "1", "20"):
             assert ascii_int(text) == int(text)
@@ -156,7 +172,7 @@ def test_parser_total_on_arbitrary_text(text):
     try:
         result = parse_circuit(text)
     except CircuitParseError as exc:
-        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        assert 1 <= exc.line <= len(re.split(r"\r\n|\r|\n", text))
         assert exc.col >= 1
     else:
         assert isinstance(result, Circuit)

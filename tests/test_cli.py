@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nohidelab
+from nohidelab import cli, nohiding
 from nohidelab.cli import main
 
 
@@ -285,6 +290,54 @@ def test_eigensolves_per_call(argv, eigensolves, eigh_calls, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(eigh_calls) == eigensolves
+
+
+# Each pair spells one configuration two ways. The "-0" against "0" pair is
+# TestImperfect.test_negative_zero_point_writes_the_bytes_of_zero.
+@pytest.mark.parametrize("first, second", [
+    ("imperfect --grid none --p .5", "imperfect --grid none --p 0.50"),
+    ("imperfect --grid none --p .5", "imperfect --grid none --p 5e-1"),
+    ("perfect --seed 007", "perfect --seed 7"),
+    ("perfect", "perfect --variant eq2 --shots exact --seed 0"),
+])
+def test_equivalent_argvs_give_identical_bytes(first, second, tmp_path, capsys):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for argv, out in zip([first, second], outs):
+        assert run_cli(argv.split() + ["--out", str(out)], capsys)[0] == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_variant_choices_are_the_randomizer_tags():
+    assert cli.VARIANT_TAGS == nohiding.VARIANT_TAGS
+
+
+_SUBCOMMAND_MODULES = ("nohidelab.zx", "nohidelab.nohiding", "nohidelab.tomo")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], _SUBCOMMAND_MODULES),
+    (["simulate", "{tmp}/bell.circ"], _SUBCOMMAND_MODULES + ("numpy.random",)),
+    (["perfect", "--shots", "64"], ("nohidelab.zx",)),
+    (["imperfect", "--grid", "none", "--p", "0.5", "--shots", "64"], ("nohidelab.zx",)),
+], ids=["import", "simulate", "perfect", "imperfect"])
+def test_subcommand_loads_only_its_modules(argv, absent, tmp_path):
+    # A fresh interpreter, since this one has imported every module already.
+    (tmp_path / "bell.circ").write_text("qubits 2\nh 0\ncx 0 1\n")
+    if argv:
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out.json")]
+    script = (
+        "import json, sys\n"
+        "from nohidelab import cli\n"
+        "argv, absent = json.loads(sys.argv[1])\n"
+        "if argv and cli.main(argv) != 0:\n"
+        "    sys.exit('the command failed')\n"
+        "print(json.dumps([m for m in absent if m in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nohidelab.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([argv, absent])],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 class TestArgHandling:

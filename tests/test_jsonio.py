@@ -102,12 +102,19 @@ class TestJsonText:
 class TestArrayLeaf:
     """A 2-D float64 array renders as its .tolist() does through the list path."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(hnp.arrays(
         np.float64,
         st.tuples(st.integers(0, 40), st.integers(0, 3)),
         elements=st.sampled_from(EDGE_FLOATS)
         | st.floats(allow_nan=False, allow_infinity=False),
+    ) | hnp.arrays(
+        # Zero-dense, as most states are: a background of +0.0 or -0.0, and
+        # scattered zeros of either sign, integral and non-integral values.
+        np.float64,
+        st.tuples(st.integers(0, 40), st.integers(0, 3)),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0 ** 53, 1e17, 0.5, -1e-300]),
+        fill=st.sampled_from([0.0, -0.0]),
     ))
     def test_matches_list_path(self, arr):
         assert json_text({"a": arr}) == json_text({"a": arr.tolist()})
@@ -121,6 +128,23 @@ class TestArrayLeaf:
         text = json_text({"a": arr})
         assert text == json_text({"a": arr.tolist()})
         assert np.array_equal(np.array(json.loads(text)["a"]), arr)
+
+    def test_zero_rows_across_batches(self):
+        # 8 batches: whole batches of 0.0 and of -0.0, then rows of each
+        # kind mixed, with signed zeros and integral values inside dense rows.
+        rng = np.random.default_rng(16)
+        arr = rng.standard_normal((8 * ROWS_PER_BATCH, 2))
+        arr[:ROWS_PER_BATCH] = 0.0
+        arr[ROWS_PER_BATCH:2 * ROWS_PER_BATCH] = -0.0
+        kind = rng.integers(0, 4, len(arr))
+        kind[:2 * ROWS_PER_BATCH] = 4
+        arr[kind == 0] = 0.0
+        arr[kind == 1] = -0.0
+        arr[kind == 2] = np.round(arr[kind == 2])
+        cells = arr[kind == 3]
+        cells[rng.random(cells.shape) < 0.25] = -0.0
+        arr[kind == 3] = cells
+        assert json_text(arr) == json_text(arr.tolist())
 
     def test_strided_view_renders_its_values(self):
         arr = np.arange(12.0).reshape(4, 3)[::2, ::-1]
