@@ -1,7 +1,37 @@
+import contextlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nohidelab
 from nohidelab.qmath import DensityMatrix, StateVector
+
+DATA = Path(__file__).parent / "data"
+# 5 gates at MAX_QUBITS: 2^19-column dots, and amplitudes across 127 row-batch joins.
+Q20_CIRCUIT = "qubits 20\nh 0\nu3 0.3 1.1 -0.7 1\ncx 0 19\nt 19\nh 10\n"
+
+
+def subprocess_env(**overrides: str) -> dict[str, str]:
+    """This environment, with the nohidelab under test on PYTHONPATH."""
+    src = Path(nohidelab.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src), **overrides)
+
+
+@contextlib.contextmanager
+def fresh_run(argvs: list[list[str]], build: Path, **env: str):
+    """Run the nohidelab `argvs` in a fresh interpreter (tests/run_argvs.py)
+    alongside the with-block, and check that every one of them succeeds."""
+    with subprocess.Popen([sys.executable, str(Path(__file__).parent / "run_argvs.py"),
+                           json.dumps(argvs), str(build)], text=True, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, env=subprocess_env(**env)) as run:
+        yield
+        err = run.communicate(timeout=300)[1]
+    assert run.returncode == 0, err
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -25,6 +55,29 @@ def maximally_mixed(num_qubits: int) -> DensityMatrix:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2
+
+
+def assert_same(got: str | bytes, want: str | bytes, label: str = "output") -> None:
+    """got == want; a failure names both lengths and the first differing offset
+    instead of pytest's diff, which can run for minutes on long texts."""
+    if got == want:
+        return
+    at = 0
+    while got[at:at + 65536] == want[at:at + 65536]:
+        at += 65536
+    at += next((i for i, (x, y) in enumerate(zip(got[at:], want[at:])) if x != y),
+               min(len(got), len(want)) - at)
+    lo, hi = max(at - 40, 0), at + 40
+    pytest.fail(f"{label} differs at offset {at} (lengths: got {len(got)}, want {len(want)})\n"
+                f"  got:  {got[lo:hi]!r}\n  want: {want[lo:hi]!r}")
+
+
+@pytest.fixture
+def failing_rename(monkeypatch) -> None:
+    """os.replace raises, so an atomic write fails after writing its temp file."""
+    def fail(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", fail)
 
 
 @pytest.fixture

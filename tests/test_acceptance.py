@@ -23,7 +23,7 @@ from nohidelab.nohiding import (
 )
 from nohidelab.qmath import StateVector, fidelity, partial_trace, proportionality
 
-from conftest import random_state
+from conftest import Q20_CIRCUIT, assert_same, fresh_run, random_state
 from test_zx import planted_b2_diagram, random_circuit
 
 # Hardware fidelities reported for the original superconducting runs; desk
@@ -202,23 +202,29 @@ def test_criterion_09_zx_faithfulness():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    cases = [
-        ["perfect", "--variant", "eq2", "--shots", "4096", "--seed", "7"],
-        ["imperfect", "--grid", "none", "--p", "0.0", "--p", "0.5", "--shots", "1024",
-         "--seed", "7", "--format", "csv"],
-        ["zx"],
-    ]
-    for idx, args in enumerate(cases):
-        a = tmp_path / f"{idx}_a.out"
-        b = tmp_path / f"{idx}_b.out"
-        assert cli_main(args + ["--out", str(a)]) == 0
-        assert cli_main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes(), args
-    circ = tmp_path / "prep.circ"
-    circ.write_text("qubits 1\nh 0\nt 0\nh 0\ns 0\n")
-    a = tmp_path / "sim_a.json"
-    b = tmp_path / "sim_b.json"
-    assert cli_main(["simulate", str(circ), "--out", str(a)]) == 0
-    assert cli_main(["simulate", str(circ), "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    _passed(10, "cli determinism", "4 commands byte-identical on repeat runs")
+    # Every command and variant, exact mode and 1 to 8192 shots, sweep points
+    # repeated and at the ends of [0, 1], and circuit files up to 20 qubits.
+    # Each argv runs here, after whatever the suite ran before it, and again
+    # in a fresh interpreter with another hash seed: equal bytes either way.
+    (tmp_path / "smoke.circ").write_text("qubits 3\nh 0\nu3 0.3 1.1 -0.7 1\ncx 0 2\nt 2\n")
+    (tmp_path / "prep.circ").write_text("qubits 1\nh 0\nt 0\nh 0\ns 0\n")
+    (tmp_path / "q20.circ").write_text(Q20_CIRCUIT)
+    argvs = [[a.format(tmp=tmp_path) for a in args.split()] for args in [
+        "zx", "perfect --variant eq6", "imperfect",
+        "perfect --shots 1024 --seed 3", "perfect --shots 8192 --seed 42",
+        "perfect --variant eq1 --shots 8192 --seed 9", "perfect --variant eq6 --shots 5 --seed 2",
+        "perfect --variant eq2 --shots 4096 --seed 7",
+        "imperfect --shots 1024 --format csv --seed 3", "imperfect --shots 1 --seed 11 --format json",
+        "imperfect --grid none --p 0 --p 1 --p 0.5 --p 0.5 --shots 7 --seed 5",
+        "imperfect --grid none --p 0.0 --p 0.5 --shots 1024 --seed 7 --format csv",
+        "imperfect --grid none --p 0.3 --shots 1024 --seed 7 --format csv",
+        "simulate {tmp}/smoke.circ", "simulate {tmp}/prep.circ", "simulate {tmp}/q20.circ",
+    ]]
+    reruns = [argv + ["--out", str(tmp_path / f"{i}.second")] for i, argv in enumerate(argvs)]
+    with fresh_run(reruns, tmp_path / "build.json", PYTHONHASHSEED="0"):
+        for i, argv in enumerate(argvs):
+            assert cli_main(argv + ["--out", str(tmp_path / f"{i}.first")]) == 0, argv
+    for i, argv in enumerate(argvs):
+        assert_same((tmp_path / f"{i}.second").read_bytes(),
+                    (tmp_path / f"{i}.first").read_bytes(), " ".join(argv))
+    _passed(10, "cli determinism", f"{len(argvs)} argvs byte-identical in a fresh interpreter")

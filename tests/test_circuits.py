@@ -30,7 +30,7 @@ from nohidelab.circuits import (
 from nohidelab.nohiding import depolarizing_kraus
 from nohidelab.qmath import StateVector, kron
 
-from conftest import random_density, random_state
+from conftest import Q20_CIRCUIT, assert_same, random_density, random_state
 from oracles import tensordot_apply_op
 
 GOLDEN = Path(__file__).parent / "data" / "circuit_grammar_golden.json"
@@ -223,6 +223,27 @@ def test_apply_op_is_bitwise_tensordot(case):
         want = tensordot_apply_op(want, op, axes)
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("case", ["q20-file", "stack-of-3"])
+def test_run_statevector_is_bitwise_tensordot_at_20_qubits(case):
+    # The 2^19-column dots the drawn sizes above never reach. Of these gates,
+    # only u3 (complex entries) rounds differently under a loop that is not
+    # BLAS's own, such as np.einsum's, on every OpenBLAS kernel.
+    if case == "q20-file":
+        c, ket = parse_circuit(Q20_CIRCUIT), StateVector.ket("0" * 20)
+        psi, got = ket.amplitudes, run_statevector(c, ket).amplitudes
+    else:
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=(3, 2 ** 20)) + 1j * rng.normal(size=(3, 2 ** 20))
+        c = Circuit(20, (Gate("cx", (0, 19)), Gate("ch", (19, 0)), Gate("swap", (3, 17)),
+                         Gate("u3", (10,), (0.3, 1.1, -0.7))))
+        got = run_statevector(c, psi)
+    want = psi.reshape(psi.shape[:-1] + (2,) * 20)
+    for g in c.gates:
+        want = tensordot_apply_op(want, g.local_matrix(), [t + want.ndim - 20 for t in g.targets])
+    assert got.shape == psi.shape
+    assert_same(got.tobytes(), want.tobytes(), case)
 
 
 @st.composite

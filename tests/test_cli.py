@@ -1,6 +1,7 @@
 import json
 import math
-import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nohidelab
 from nohidelab import cli, nohiding
 from nohidelab.cli import main
+
+from conftest import DATA, assert_same, fresh_run, subprocess_env
+from oracles import whole_scalar
 
 
 def run_cli(args, capsys):
@@ -31,13 +34,6 @@ class TestPerfect:
         assert data["bell"]["qubits"] == [0, 1]
         assert data["transfer"]["qubit"] == 2
         assert data["bell"]["tomography"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_shot_runs_are_byte_identical(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["perfect", "--shots", "8192", "--seed", "42"]
-        assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
-        assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_variants_agree_on_exact_fidelities(self, tmp_path, capsys):
         values = {}
@@ -72,33 +68,8 @@ class TestPerfect:
         assert 0.9 < tomo_report["fidelity"] <= 1.0
         assert tomo_report["fidelity"] != 1.0  # sampled, not exact
 
-    # eq6 at 5 shots leaves most outcomes of each basis at zero counts.
-    @pytest.mark.parametrize("golden, argv", [
-        ("perfect_golden_eq2.json", ["--variant", "eq2", "--shots", "8192", "--seed", "3"]),
-        ("perfect_golden_eq6_sparse.json", ["--variant", "eq6", "--shots", "5", "--seed", "2"]),
-        ("perfect_golden_eq1_exact.json", ["--variant", "eq1"]),
-    ])
-    def test_shot_run_matches_golden_bytes(self, tmp_path, capsys, golden, argv):
-        out = tmp_path / "perfect.json"
-        assert run_cli(["perfect"] + argv + ["--out", str(out)], capsys)[0] == 0
-        assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
-
 
 class TestImperfect:
-    @pytest.mark.parametrize("golden, argv", [
-        ("imperfect_golden.csv", ["--shots", "1024", "--format", "csv", "--seed", "3"]),
-        ("imperfect_golden_exact.json", ["--format", "json"]),
-        # At 5 shots two of the four raw tomograms go negative, so the
-        # projection truncates their spectra.
-        ("imperfect_golden_shots5.json", ["--grid", "none", "--p", "0", "--p", "1", "--p",
-                                          "0.5", "--p", "0.5", "--shots", "5", "--seed", "2",
-                                          "--format", "json"]),
-    ])
-    def test_shot_sweep_matches_golden_bytes(self, tmp_path, capsys, golden, argv):
-        out = tmp_path / "sweep.out"
-        assert run_cli(["imperfect"] + argv + ["--out", str(out)], capsys)[0] == 0
-        assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
-
     def test_default_grid_csv_matches_closed_form(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run_cli(["imperfect", "--format", "csv", "--out", str(out)], capsys)
@@ -155,13 +126,6 @@ class TestImperfect:
             assert run_cli(argv, capsys)[0] == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_shot_mode_deterministic(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["imperfect", "--grid", "none", "--p", "0.3", "--shots", "1024",
-                "--seed", "7", "--format", "csv"]
-        run_cli(args + ["--out", str(a)], capsys)
-        run_cli(args + ["--out", str(b)], capsys)
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestZxCommand:
@@ -179,26 +143,22 @@ class TestZxCommand:
         assert data["simplify"]["steps"]
 
     def test_trace_replay_round_trip(self, tmp_path, capsys):
+        # Both traces start from the initial diagram. Each recorded scalar,
+        # measured on the region its step changed, is the whole diagrams' one.
         from nohidelab import zx
 
         out = tmp_path / "zx.json"
-        run_cli(["zx", "--out", str(out)], capsys)
+        assert run_cli(["zx", "--out", str(out)], capsys)[0] == 0
         data = json.loads(out.read_text())
         initial = zx.diagram_from_json_dict(data["derivation"]["initial"])
-        steps = zx.steps_from_json_list(data["derivation"]["steps"])
-        final = zx.replay_trace(initial, steps)
-        assert zx.diagram_to_json_dict(final) == data["derivation"]["final"]
-
-    def test_run_matches_golden_bytes(self, tmp_path, capsys):
-        out = tmp_path / "zx.json"
-        assert run_cli(["zx", "--out", str(out)], capsys)[0] == 0
-        assert out.read_bytes() == (Path(__file__).parent / "data" / "zx_golden.json").read_bytes()
-
-    def test_deterministic_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli(["zx", "--out", str(a)], capsys)
-        run_cli(["zx", "--out", str(b)], capsys)
-        assert a.read_bytes() == b.read_bytes()
+        for part, last in (("derivation", "final"), ("simplify", "result")):
+            steps, d = zx.steps_from_json_list(data[part]["steps"]), initial
+            for step in steps:
+                after = zx.apply_rule(d, step.rule, step.location)
+                whole = whole_scalar(d, after)
+                assert whole is not None and abs(whole - step.scalar_check) <= 1e-12, (part, step)
+                d = after
+            assert zx.diagram_to_json_dict(zx.replay_trace(initial, steps)) == data[part][last]
 
 
 class TestSimulate:
@@ -223,15 +183,6 @@ class TestSimulate:
         s = np.vdot(target, amps)
         assert abs(abs(s) - 1) < 1e-9
         assert np.abs(amps - s * target).max() < 1e-9
-
-    def test_q10_run_matches_golden_bytes(self, tmp_path, capsys):
-        # Every mnemonic; cx, ch and swap in both operand orders on
-        # non-adjacent qubits.
-        data = Path(__file__).parent / "data"
-        out = tmp_path / "q10.json"
-        argv = ["simulate", str(data / "simulate_golden_q10.circ"), "--out", str(out)]
-        assert run_cli(argv, capsys)[0] == 0
-        assert out.read_bytes() == (data / "simulate_golden_q10.json").read_bytes()
 
     def test_malformed_file_exits_2_without_output(self, tmp_path, capsys):
         path = tmp_path / "bad.circ"
@@ -271,6 +222,46 @@ class TestSimulate:
             tracemalloc.stop()
         assert code == 0, capsys.readouterr().err
         assert peak < 10 * 16 * 2 ** 16
+
+
+GOLDEN_ARGVS = {
+    "perfect_golden_eq2.json": "perfect --variant eq2 --shots 8192 --seed 3",
+    # eq6 at 5 shots leaves most outcomes of each basis at zero counts.
+    "perfect_golden_eq6_sparse.json": "perfect --variant eq6 --shots 5 --seed 2",
+    "perfect_golden_eq1_exact.json": "perfect --variant eq1",
+    "imperfect_golden.csv": "imperfect --shots 1024 --format csv --seed 3",
+    "imperfect_golden_exact.json": "imperfect --format json",
+    # At 5 shots two of the four raw tomograms go negative, so the
+    # projection truncates their spectra.
+    "imperfect_golden_shots5.json":
+        "imperfect --grid none --p 0 --p 1 --p 0.5 --p 0.5 --shots 5 --seed 2 --format json",
+    "zx_golden.json": "zx",
+    # Every mnemonic; cx, ch and swap in both operand orders on
+    # non-adjacent qubits.
+    "simulate_golden_q10.json": "simulate {data}/simulate_golden_q10.circ",
+}
+
+
+GOLDEN_BUILD = json.loads((DATA / "golden_build.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory) -> Path:
+    """Every golden argv, run in one interpreter on the OpenBLAS kernel that
+    wrote the golden files; eigh and gemm round differently on each kernel."""
+    out = tmp_path_factory.mktemp("golden")
+    with fresh_run([[a.format(data=DATA) for a in argv.split()] + ["--out", str(out / name)]
+                    for name, argv in GOLDEN_ARGVS.items()], out / "build.json",
+                   OPENBLAS_CORETYPE=GOLDEN_BUILD["openblas_coretype"]):
+        pass
+    return out
+
+
+@pytest.mark.parametrize("golden", GOLDEN_ARGVS)
+def test_run_matches_golden_bytes(golden, golden_runs):
+    build = json.loads((golden_runs / "build.json").read_text())
+    assert_same((golden_runs / golden).read_bytes(), (DATA / golden).read_bytes(),
+                f"{golden} (written on {GOLDEN_BUILD}; this run on {build})")
 
 
 @pytest.mark.parametrize("argv, eigensolves", [
@@ -333,11 +324,29 @@ def test_subcommand_loads_only_its_modules(argv, absent, tmp_path):
         "    sys.exit('the command failed')\n"
         "print(json.dumps([m for m in absent if m in sys.modules]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(nohidelab.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-c", script, json.dumps([argv, absent])],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_readme_command_line_examples_run(tmp_path):
+    # The sh block under "## Command line", as written, from an empty
+    # directory, with `nohidelab` meaning this interpreter's `-m nohidelab`.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    block = section.split("```sh\n")[1].split("```")[0]
+    assert re.search(r"^nohidelab ", block, re.M), "no example extracted"
+    alias = f'nohidelab() {{ {shlex.quote(sys.executable)} -m nohidelab "$@"; }}\n'
+    done = subprocess.run(["bash", "-e", "-c", alias + block], cwd=tmp_path, capture_output=True,
+                          text=True, env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_failed_rename_exits_1_without_output(tmp_path, capsys, failing_rename):
+    code, out, err = run_cli(["zx", "--out", str(tmp_path / "zx.json")], capsys)
+    assert (code, out, list(tmp_path.iterdir())) == (1, "", [])
+    assert "rename failed" in err
 
 
 class TestArgHandling:

@@ -18,6 +18,8 @@ from nohidelab.jsonio import (
     write_text_atomic,
 )
 
+from conftest import assert_same
+
 # Where ".17g" text and the ".0" suffix rule change shape: signed zeros,
 # integral values around 2**53 and the 1e17 switch to exponent form,
 # subnormals, the float extremes and the 1e-5 switch to exponent form.
@@ -126,7 +128,7 @@ class TestArrayLeaf:
         arr[::7] = np.round(arr[::7] * 1e3)
         arr[:, 1][::5] = -0.0
         text = json_text({"a": arr})
-        assert text == json_text({"a": arr.tolist()})
+        assert_same(text, json_text({"a": arr.tolist()}))
         assert np.array_equal(np.array(json.loads(text)["a"]), arr)
 
     def test_zero_rows_across_batches(self):
@@ -144,7 +146,7 @@ class TestArrayLeaf:
         cells = arr[kind == 3]
         cells[rng.random(cells.shape) < 0.25] = -0.0
         arr[kind == 3] = cells
-        assert json_text(arr) == json_text(arr.tolist())
+        assert_same(json_text(arr), json_text(arr.tolist()))
 
     def test_strided_view_renders_its_values(self):
         arr = np.arange(12.0).reshape(4, 3)[::2, ::-1]
@@ -163,27 +165,24 @@ def test_csv_text_layout():
     assert text == "a,b\n0.5,1\n1.0,2\n"
 
 
-def test_atomic_write_leaves_no_temp_files(tmp_path):
+# The temp file's name must stay within NAME_MAX (255 bytes) too.
+@pytest.mark.parametrize("name, old", [("out.json", None), ("a" * 245 + ".json", None),
+                                       ("out.json", "old")], ids=["new", "long-name", "existing"])
+def test_atomic_write_leaves_only_the_target(tmp_path, name, old):
+    if old is not None:
+        (tmp_path / name).write_text(old)
+    write_text_atomic(tmp_path / name, "payload\n")
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [(name, "payload\n")]
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_atomic_write_failure_leaves_the_target_as_it_was(tmp_path, failing_rename, existed):
     target = tmp_path / "out.json"
-    write_text_atomic(target, "payload\n")
-    assert target.read_text() == "payload\n"
-    leftovers = [p for p in tmp_path.iterdir() if p != target]
-    assert leftovers == []
-
-
-def test_atomic_write_takes_a_name_near_the_length_limit(tmp_path):
-    # The temp file's name must stay within NAME_MAX (255 bytes) too.
-    target = tmp_path / ("a" * 245 + ".json")
-    write_text_atomic(target, "payload\n")
-    assert target.read_text() == "payload\n"
-    assert list(tmp_path.iterdir()) == [target]
-
-
-def test_atomic_write_replaces_existing(tmp_path):
-    target = tmp_path / "out.json"
-    target.write_text("old")
-    write_text_atomic(target, "new")
-    assert target.read_text() == "new"
+    if existed:
+        target.write_text("old")
+    with pytest.raises(OSError, match="rename failed"):
+        write_text_atomic(target, "new")
+    assert [p.read_text() for p in tmp_path.iterdir()] == (["old"] if existed else [])
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
