@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 from collections.abc import Mapping, Sequence
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +33,20 @@ def format_float(x: float) -> str:
 
 
 def _render(value, indent: int) -> str:
-    if isinstance(value, float):  # most leaves are floats: test them first
+    # Most values are floats, exact ints, strs and dicts: test them first.
+    # A string is quoted by the function json.dumps quotes it with.
+    if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, Mapping):
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if kind is dict or isinstance(value, Mapping):
         if not value:
             return "{}"
         pad = "\n" + "  " * (indent + 1)
-        items = [f"{json.dumps(str(key))}: {_render(item, indent + 1)}"
+        items = [f"{encode_basestring_ascii(str(key))}: {_render(item, indent + 1)}"
                  for key, item in value.items()]
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
     if isinstance(value, (list, tuple)):
@@ -47,7 +55,7 @@ def _render(value, indent: int) -> str:
         pad = "\n" + "  " * (indent + 1)
         items = [_render(item, indent + 1) for item in value]
         return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-    if isinstance(value, (bool, str)) or value is None:
+    if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, int):
         return str(value)

@@ -77,18 +77,25 @@ def read_only_eig(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _norm(v: np.ndarray) -> np.float64:
+    """np.linalg.norm of a complex vector without its dispatch: the same sum
+    of the same dots, so the same bits and the same overflow warnings."""
+    re, im = v.real, v.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
 def proportionality(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> complex | None:
     """Scalar s with a = s*b within tol (relative), or None if no such s."""
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.shape != b.shape:
         return None
-    nb = np.linalg.norm(b)
-    na = np.linalg.norm(a)
+    nb = _norm(b)
+    na = _norm(a)
     if nb == 0.0:
         return 1.0 + 0j if na == 0.0 else None
     s = complex(np.vdot(b, a) / np.vdot(b, b))
-    if np.linalg.norm(a - s * b) <= tol * max(na, nb, 1.0):
+    if _norm(a - s * b) <= tol * max(na, nb, 1.0):
         return s
     return None
 

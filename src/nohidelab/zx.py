@@ -25,7 +25,6 @@ import cmath
 import itertools
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
@@ -36,7 +35,6 @@ from .circuits import Circuit, Gate
 from .qmath import HADAMARD, kron, proportionality
 
 SPIDER_KINDS = ("Z", "X")
-BOUNDARY_KINDS = ("in", "out")
 RULES = ("S1", "S2", "C", "B2", "HH")
 
 # Brute-force contraction budget in axes of dimension 2, for the open legs,
@@ -76,45 +74,46 @@ class ZXDiagram:
     _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", dict(self.nodes))
-        norm_edges = []
+        nodes = dict(self.nodes)
+        edges = []
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on node {a} is forbidden")
-            norm_edges.append((a, b) if a <= b else (b, a))
-        object.__setattr__(self, "edges", tuple(sorted(norm_edges)))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+            edges.append((a, b) if a <= b else (b, a))
+        edges.sort()
+        inputs, outputs = tuple(self.inputs), tuple(self.outputs)
 
         # Neighbour lists in sorted-edge order, built once: the diagram is frozen.
-        adj: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for a, b in self.edges:
-            for nid in (a, b):
-                if nid not in self.nodes:
-                    raise ValueError(f"edge references missing node {nid}")
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(self, "_adj", adj)
-        boundary_ids = set(self.inputs) | set(self.outputs)
-        if len(self.inputs) + len(self.outputs) != len(boundary_ids):
+        adj: dict[int, list[int]] = {nid: [] for nid in nodes}
+        try:
+            for a, b in edges:
+                adj[a].append(b)
+                adj[b].append(a)
+        except KeyError as exc:
+            raise ValueError(f"edge references missing node {exc.args[0]}") from None
+        for name, value in zip(("nodes", "edges", "inputs", "outputs", "_adj"),
+                               (nodes, tuple(edges), inputs, outputs, adj)):
+            object.__setattr__(self, name, value)
+        boundary_ids = {*inputs, *outputs}
+        if len(inputs) + len(outputs) != len(boundary_ids):
             raise ValueError("a boundary node may appear only once")
-        for nid, node in self.nodes.items():
-            if node.kind in BOUNDARY_KINDS:
+        for nid, node in nodes.items():
+            kind = node.kind
+            if kind == "in" or kind == "out":
                 if nid not in boundary_ids:
                     raise ValueError(f"boundary node {nid} missing from inputs/outputs")
                 if len(adj[nid]) != 1:
                     raise ValueError(f"boundary node {nid} must have degree 1")
-            elif node.kind == "H":
+            elif kind == "H":
                 if len(adj[nid]) != 2:
                     raise ValueError(f"H box {nid} must have degree 2, has {len(adj[nid])}")
-            elif node.kind not in SPIDER_KINDS:
-                raise ValueError(f"unknown node kind {node.kind!r}")
-        for nid in self.inputs:
-            if nid not in self.nodes or self.nodes[nid].kind != "in":
-                raise ValueError(f"input {nid} is not an 'in' node")
-        for nid in self.outputs:
-            if nid not in self.nodes or self.nodes[nid].kind != "out":
-                raise ValueError(f"output {nid} is not an 'out' node")
+            elif kind != "Z" and kind != "X":
+                raise ValueError(f"unknown node kind {kind!r}")
+        for what, kind, ids in (("input", "in", inputs), ("output", "out", outputs)):
+            for nid in ids:
+                node = nodes.get(nid)
+                if node is None or node.kind != kind:
+                    raise ValueError(f"{what} {nid} is not an {kind!r} node")
 
     # A node id absent from the diagram has no neighbours, so rule matchers
     # can probe replayed locations without a KeyError.
@@ -272,13 +271,14 @@ def _canonical_order(d: ZXDiagram) -> list[int]:
     # sorted neighbour labels) until the number of classes stops growing,
     # which it cannot once every node is a class of its own.
     seeds = {nid: f"in{i}" for i, nid in enumerate(d.inputs)}
-    seeds.update((nid, f"out{i}") for i, nid in enumerate(d.outputs))
+    seeds.update({nid: f"out{i}" for i, nid in enumerate(d.outputs)})
     for nid, node in d.nodes.items():
         if nid not in seeds:
-            seeds[nid] = f"{node.kind}:{node.phase.real:.9e}:{node.phase.imag:.9e}"
+            phase = node.phase
+            seeds[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
     labels, classes = _rank(seeds)
     while classes < len(labels):
-        labels, grown = _rank({nid: (label, tuple(sorted(labels[m] for m in d._adj[nid])))
+        labels, grown = _rank({nid: (label, tuple(sorted(map(labels.__getitem__, d._adj[nid]))))
                                for nid, label in labels.items()})
         if grown == classes:
             break
@@ -286,29 +286,24 @@ def _canonical_order(d: ZXDiagram) -> list[int]:
 
     # Breadth-first from the ordered boundaries keeps contraction local, so
     # the number of simultaneously open tensor axes stays near the diagram
-    # width instead of its edge count.
-    order: list[int] = []
-    seen: set[int] = set()
-    queue: list[int] = []
-    for nid in list(d.inputs) + list(d.outputs):
-        seen.add(nid)
-        order.append(nid)
-        queue.append(nid)
+    # width instead of its edge count. order[head:] is the queue.
+    key = lambda x: (labels[x], x)  # by label, ties by id
+    order = [*d.inputs, *d.outputs]
+    seen = set(order)
+    head = 0
     while True:
-        while queue:
-            nid = queue.pop(0)
-            for m in sorted(d._adj[nid], key=lambda x: (labels[x], x)):
+        while head < len(order):
+            neighbours = d._adj[order[head]]
+            for m in sorted(neighbours, key=key) if len(neighbours) > 1 else neighbours:
                 if m not in seen:
                     seen.add(m)
                     order.append(m)
-                    queue.append(m)
-        rest = [n for n in d.nodes if n not in seen]
-        if not rest:
+            head += 1
+        if len(order) == len(d.nodes):
             return order
-        start = min(rest, key=lambda x: (labels[x], x))
+        start = min((n for n in d.nodes if n not in seen), key=key)
         seen.add(start)
         order.append(start)
-        queue.append(start)
 
 
 def _node_tensor(kind: str, phase: complex, legs: int) -> np.ndarray:
@@ -355,9 +350,9 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
     n_in, n_open = len(d.inputs), len(d.inputs) + len(d.outputs)
     _check_budget(n_open, "open legs")
     order = _canonical_order(d)
-    rank = {nid: r for r, nid in enumerate(order)}
+    rank = dict(zip(order, range(len(order))))
     # Global labels: edge k of the rank-sorted edge list is label k.
-    ends = sorted(sorted((rank[a], rank[b])) for a, b in d.edges)
+    ends = sorted([(i, j) if (i := rank[a]) < (j := rank[b]) else (j, i) for a, b in d.edges])
     legs: list[list[int]] = [[] for _ in order]
     for label, (r, s) in enumerate(ends):
         legs[r].append(label)
@@ -386,9 +381,8 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
         shared = set(live).intersection(t_labels)
         kept = [label for label in live + t_labels if label not in shared]
         _check_budget(len(kept), "live axes in one fold step")
-        ids = {label: i for i, label in enumerate(sorted(set(live).union(t_labels)))}
-        plan.append((node, [ids[e] for e in live], [ids[e] for e in t_labels],
-                     [ids[e] for e in kept]))
+        ids = dict(zip(sorted([*kept, *shared]), itertools.count())).__getitem__
+        plan.append((node, [*map(ids, live)], [*map(ids, t_labels)], [*map(ids, kept)]))
         live = kept
 
     current = np.array(1.0 + 0j)
@@ -636,35 +630,47 @@ def _local_sides(d: ZXDiagram, new: ZXDiagram) -> tuple[ZXDiagram, ZXDiagram]:
     different number of legs on the two sides, or with more than one (which
     the sort could not pair across the sides), joins the region.
     """
-    sides = (d, new)
-    places = [{**{n: ("in", i) for i, n in enumerate(x.inputs)},
-               **{n: ("out", i) for i, n in enumerate(x.outputs)}} for x in sides]
-    changed = (d.nodes.items() ^ new.nodes.items()) | (places[0].items() ^ places[1].items())
-    region = {n for n, _ in changed}
-    counts = Counter(d.edges), Counter(new.edges)
-    only = counts[0] - counts[1], counts[1] - counts[0]
+    sides, region = (d, new), set()
+    if d.inputs != new.inputs or d.outputs != new.outputs:
+        places = [{**{n: ("in", i) for i, n in enumerate(x.inputs)},
+                   **{n: ("out", i) for i, n in enumerate(x.outputs)}} for x in sides]
+        region = {n for n, _ in places[0].items() ^ places[1].items()}
+    counterpart = new.nodes.get
+    region.update([n for n, node in d.nodes.items()
+                   if (other := counterpart(n)) is not node and other != node])
+    region.update(new.nodes.keys() - d.nodes.keys())
+    # One signed tally per edge: copies only in d count up, only in new down.
+    tally: dict[tuple[int, int], int] = {}
+    for sign, x in ((1, d), (-1, new)):
+        for e in x.edges:
+            tally[e] = tally.get(e, 0) + sign
+    only: tuple[list, list] = ([], [])
+    for e, k in tally.items():
+        only[k < 0].extend([e] * abs(k))
     while True:
-        wires = [[e for e in diff.elements() if region.isdisjoint(e)] for diff in only]
-        legs = [Counter(c for e in wire for c in e) for wire in wires]
-        for x, leg in zip(sides, legs):
-            leg.update(m for n in region for m in x._adj.get(n, ()) if m not in region)
+        wires = [[e for e in diff if region.isdisjoint(e)] for diff in only]
+        legs: list[dict[int, int]] = [{}, {}]
+        for x, wire, leg in zip(sides, wires, legs):
+            ends = [c for e in wire for c in e]
+            ends += [m for n in region for m in x._adj.get(n, ()) if m not in region]
+            for c in ends:
+                leg[c] = leg.get(c, 0) + 1
         grow = {c for c in legs[0].keys() | legs[1].keys()
-                if legs[0][c] != legs[1][c] or legs[0][c] > 1}
+                if legs[0].get(c, 0) != legs[1].get(c, 0) or legs[0][c] > 1}
         if not grow:
             break
         region |= grow
 
-    first = max(d.nodes.keys() | new.nodes.keys(), default=-1) + 1
-    out = {c: first + i for i, c in enumerate(sorted(legs[0]))}
+    out = {c: o for o, c in enumerate(sorted(legs[0]), max([-1, *d.nodes, *new.nodes]) + 1)}
+    leg_end = ZXNode("out")
 
     def cut(x: ZXDiagram, wire: list) -> ZXDiagram:
-        nodes = {n: x.nodes[n] for n in region & x.nodes.keys()}
-        nodes.update((o, ZXNode("out")) for o in out.values())
-        edges = [(n, out.get(m, m)) for n in nodes for m in x._adj.get(n, ())
-                 if n < m or m not in region]
+        nodes = {n: x.nodes[n] for n in region if n in x.nodes}
+        edges = [(n, out.get(m, m)) for n in nodes for m in x._adj[n] if n < m or m not in region]
         edges += [(out[a], out[b]) for a, b in wire]
-        return ZXDiagram(nodes, tuple(edges), tuple(n for n in x.inputs if n in region),
-                         (*out.values(), *(n for n in x.outputs if n in region)))
+        nodes.update(dict.fromkeys(out.values(), leg_end))
+        return ZXDiagram(nodes, tuple(edges), tuple([n for n in x.inputs if n in region]),
+                         (*out.values(), *[n for n in x.outputs if n in region]))
 
     return cut(d, wires[0]), cut(new, wires[1])
 

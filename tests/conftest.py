@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import json
 import os
 import subprocess
@@ -78,6 +79,21 @@ def failing_rename(monkeypatch) -> None:
     def fail(src, dst):
         raise OSError("rename failed")
     monkeypatch.setattr(os, "replace", fail)
+
+
+@pytest.fixture
+def failing_write(monkeypatch) -> None:
+    """The temp file's handle raises ENOSPC on write, as on a full disk."""
+    fdopen = os.fdopen
+
+    def full_disk(fd, *args, **kwargs):
+        handle = fdopen(fd, *args, **kwargs)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        handle.write = write
+        return handle
+    monkeypatch.setattr(os, "fdopen", full_disk)
 
 
 @pytest.fixture

@@ -4,7 +4,11 @@
 verbatim but for the name, so the oracle shares no code with the integer
 colour refinement it checks. `whole_diagram_scalar` is the former check of
 `zx.apply_rule_checked`, which contracted the whole diagram on both sides of
-a rewrite instead of the region it changed. `per_point_sweep` is the former loop of
+a rewrite instead of the region it changed. `counter_local_sides` is the
+former `zx._local_sides`, verbatim but for the name: it finds that region
+with `Counter`s and `(id, ZXNode)` item sets. `linalg_norm_proportionality`
+is the former `qmath.proportionality`, verbatim but for the name: it takes
+its norms with `np.linalg.norm`. `per_point_sweep` is the former loop of
 `nohiding.run_sweep`, which simulated, reduced, validated and tomographed each
 sweep point on its own, verbatim but for the name, the record's field names,
 the deleted `system_state` and `seed` fields and the `per_matrix_` and
@@ -27,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -55,7 +60,7 @@ from nohidelab.tomo import (
     pauli_matrix,
     pauli_strings,
 )
-from nohidelab.zx import ZXDiagram, apply_rule, evaluate
+from nohidelab.zx import ZXDiagram, ZXNode, apply_rule, evaluate
 
 
 def string_canonical_order(d: ZXDiagram) -> list[int]:
@@ -123,6 +128,68 @@ def whole_scalar(before: ZXDiagram, after: ZXDiagram) -> complex | None:
 def whole_diagram_scalar(d: ZXDiagram, rule: str, loc) -> complex | None:
     """The scalar of a rewrite, measured on the whole diagram."""
     return whole_scalar(d, apply_rule(d, rule, loc))
+
+
+def counter_local_sides(d: ZXDiagram, new: ZXDiagram) -> tuple[ZXDiagram, ZXDiagram]:
+    """The region a rewrite changed, cut out of each side as a small diagram.
+
+    The region holds every node that is absent on one side, whose ZXNode
+    differs, or whose place among the inputs/outputs moved. Each edge from it
+    into the unchanged context, and each context-to-context edge in the
+    multiset difference of the two edge lists, ends in an open leg at its
+    context node; the legs are outputs sorted by that node's id, after which
+    come the region's own boundaries in their order. A context node with a
+    different number of legs on the two sides, or with more than one (which
+    the sort could not pair across the sides), joins the region.
+    """
+    sides = (d, new)
+    places = [{**{n: ("in", i) for i, n in enumerate(x.inputs)},
+               **{n: ("out", i) for i, n in enumerate(x.outputs)}} for x in sides]
+    changed = (d.nodes.items() ^ new.nodes.items()) | (places[0].items() ^ places[1].items())
+    region = {n for n, _ in changed}
+    counts = Counter(d.edges), Counter(new.edges)
+    only = counts[0] - counts[1], counts[1] - counts[0]
+    while True:
+        wires = [[e for e in diff.elements() if region.isdisjoint(e)] for diff in only]
+        legs = [Counter(c for e in wire for c in e) for wire in wires]
+        for x, leg in zip(sides, legs):
+            leg.update(m for n in region for m in x._adj.get(n, ()) if m not in region)
+        grow = {c for c in legs[0].keys() | legs[1].keys()
+                if legs[0][c] != legs[1][c] or legs[0][c] > 1}
+        if not grow:
+            break
+        region |= grow
+
+    first = max(d.nodes.keys() | new.nodes.keys(), default=-1) + 1
+    out = {c: first + i for i, c in enumerate(sorted(legs[0]))}
+
+    def cut(x: ZXDiagram, wire: list) -> ZXDiagram:
+        nodes = {n: x.nodes[n] for n in region & x.nodes.keys()}
+        nodes.update((o, ZXNode("out")) for o in out.values())
+        edges = [(n, out.get(m, m)) for n in nodes for m in x._adj.get(n, ())
+                 if n < m or m not in region]
+        edges += [(out[a], out[b]) for a, b in wire]
+        return ZXDiagram(nodes, tuple(edges), tuple(n for n in x.inputs if n in region),
+                         (*out.values(), *(n for n in x.outputs if n in region)))
+
+    return cut(d, wires[0]), cut(new, wires[1])
+
+
+
+def linalg_norm_proportionality(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> complex | None:
+    """Scalar s with a = s*b within tol (relative), or None if no such s."""
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    if a.shape != b.shape:
+        return None
+    nb = np.linalg.norm(b)
+    na = np.linalg.norm(a)
+    if nb == 0.0:
+        return 1.0 + 0j if na == 0.0 else None
+    s = complex(np.vdot(b, a) / np.vdot(b, b))
+    if np.linalg.norm(a - s * b) <= tol * max(na, nb, 1.0):
+        return s
+    return None
 
 
 def per_point_sweep(

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -347,6 +349,12 @@ def test_failed_rename_exits_1_without_output(tmp_path, capsys, failing_rename):
     code, out, err = run_cli(["zx", "--out", str(tmp_path / "zx.json")], capsys)
     assert (code, out, list(tmp_path.iterdir())) == (1, "", [])
     assert "rename failed" in err
+
+
+def test_failed_temp_write_exits_1_without_output(tmp_path, capsys, failing_write):
+    code, out, err = run_cli(["zx", "--out", str(tmp_path / "zx.json")], capsys)
+    assert (code, out, list(tmp_path.iterdir())) == (1, "", [])
+    assert os.strerror(errno.ENOSPC) in err
 
 
 class TestArgHandling:

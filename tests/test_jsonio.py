@@ -27,6 +27,14 @@ EDGE_FLOATS = [0.0, -0.0, 1.0, -7.0, 2.0 ** 53 - 1, 2.0 ** 53 + 1, 1e16, 1e17, -
                9.999999999999998e16, 5e-324, -2.2250738585072e-309,
                sys.float_info.max, -sys.float_info.max, 1e-5]
 
+# Strings and keys as json.dumps quotes them: quotes, backslashes, control
+# characters, non-ASCII and astral text, and lone surrogates, which only
+# \u escapes can carry.
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+                                     "\U0001f600"])
+                    | st.characters(exclude_categories=()) | st.characters(categories=["Cs"]),
+                    max_size=5)
+
 
 class TestFormatFloat:
     def test_round_trips_hard_values(self):
@@ -73,9 +81,9 @@ class TestJsonText:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+        st.none() | st.booleans() | st.integers() | JSON_TEXT,
         lambda inner: st.lists(inner, max_size=4)
-        | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        | st.dictionaries(JSON_TEXT, inner, max_size=4),
         max_leaves=20,
     ))
     def test_layout_matches_json_dumps_indent_2(self, value):
@@ -99,6 +107,40 @@ class TestJsonText:
             '  "b": false\n'
             '}\n'
         )
+
+    def test_subclasses_render_as_their_base_types(self):
+        class Count(int):
+            pass
+
+        class Ratio(float):
+            pass
+
+        class Tag(str):
+            def __str__(self):
+                return "shown"
+
+        payload = {Tag("key"): [True, False, None, np.float64(0.1), np.float64(-0.0),
+                                Count(7), Ratio(2.0), Tag('a"b')],
+                   True: 1, 3: 2, 0.5: 3}
+        assert json_text(payload) == (
+            '{\n'
+            '  "shown": [\n'
+            '    true,\n'
+            '    false,\n'
+            '    null,\n'
+            '    0.10000000000000001,\n'
+            '    -0.0,\n'
+            '    7,\n'
+            '    2.0,\n'
+            '    "a\\"b"\n'
+            '  ],\n'
+            '  "True": 1,\n'
+            '  "3": 2,\n'
+            '  "0.5": 3\n'
+            '}\n'
+        )
+        with pytest.raises(TypeError, match="int64"):
+            json_text([np.int64(1)])
 
 
 class TestArrayLeaf:

@@ -3,11 +3,13 @@ against the kernels they replaced where those are kept."""
 import cmath
 import itertools
 import math
+import struct
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,6 +28,7 @@ from nohidelab.qmath import (
     hermitian_eig,
     partial_trace,
     partial_trace_matrix,
+    proportionality,
     trace_distance,
 )
 from nohidelab.tomo import (
@@ -57,6 +60,8 @@ from conftest import maximally_mixed, random_density, random_state
 from oracles import (
     PerMatrixTomogramRaw,
     ShotCounts,
+    counter_local_sides,
+    linalg_norm_proportionality,
     per_matrix_born_probabilities,
     per_matrix_project_physical,
     per_matrix_reconstruct,
@@ -401,10 +406,46 @@ def test_local_check_refuses_where_whole_diagram_check_refuses(d, data):
         assert _local_scalar(d, bad) is None
 
 
+def _parts(sides):
+    return [(x.nodes, x.edges, x.inputs, x.outputs) for x in sides]
+
+
+@st.composite
+def parallel_path_sites(draw):
+    # A zero-phase spider or an H pair on a path beside an edge between two
+    # spiders: S2 or HH there leaves a parallel edge, which only a multiset
+    # difference of the edge lists tells from the edge that was there.
+    d = draw(rewrite_sites())
+    spans = [(a, b) for a, b in d.edges if d.nodes[a].kind in "ZX" and d.nodes[b].kind in "ZX"]
+    assume(spans)
+    u, w = draw(st.sampled_from(spans))
+    path = draw(st.sampled_from([(ZXNode("Z"),), (ZXNode("H"), ZXNode("H"))]))
+    ids = range(max(d.nodes) + 1, max(d.nodes) + 1 + len(path))
+    chain = [u, *ids, w]
+    return ZXDiagram({**d.nodes, **dict(zip(ids, path))}, d.edges + tuple(zip(chain, chain[1:])),
+                     d.inputs, d.outputs)
+
+
+@PROPERTY
+@given(rewrite_sites() | parallel_path_sites())
+def test_local_sides_match_counter_oracle(d):
+    # Every rewrite, and each result with its outputs reversed, which moves
+    # boundaries between places, cuts out the region the oracle cuts out.
+    for rule, loc in _rewrites(d):
+        new = _applied(d, rule, loc)
+        if new is None:
+            continue
+        moved = ZXDiagram(new.nodes, new.edges, new.inputs, new.outputs[::-1])
+        for after in (new, moved):
+            assert _parts(_local_sides(d, after)) == _parts(counter_local_sides(d, after))
+
+
 def _check_locally(d, rule, loc):
     new, step = apply_rule_checked(d, rule, loc)
     assert abs(step.scalar_check - whole_diagram_scalar(d, rule, loc)) <= 1e-12
-    return _local_sides(d, new)
+    sides = _local_sides(d, new)
+    assert _parts(sides) == _parts(counter_local_sides(d, new))
+    return sides
 
 
 def test_legless_spider_is_its_own_region():
@@ -443,6 +484,62 @@ def test_identity_removal_leaves_a_wire_between_context_legs():
     before, after = _check_locally(d, "S2", loc)
     assert [before.nodes[n].kind for n in before.nodes] == ["Z", "out", "out"]
     assert set(after.nodes) == set(after.outputs) and len(after.edges) == 1
+
+
+# proportionality takes the dot sums np.linalg.norm takes, without its
+# dispatch: the same scalar, the same verdict and the same warnings.
+
+
+@st.composite
+def proportionality_cases(draw):
+    """(a, b, tol): b at magnitudes from 1e-200 to 1e200, whose squares
+    underflow or overflow, and a zero, a multiple of b, a multiple moved
+    to either side of tol, an unrelated vector or one of another length."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.sampled_from([-200, -155, 0, 154, 155, 200]) | st.integers(-200, 200))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # A tol of 1e300 times a norm above 2e8 overflows, which numpy scalars warn about.
+    tol = draw(st.sampled_from([1e-9, 1e-12, 1e300]) | st.floats(1e-300, 1e300))
+    kind = draw(st.sampled_from(["zero a", "zero b", "zeros", "multiple", "perturbed",
+                                 "unrelated", "length"]))
+    s = complex(*rng.normal(size=2))
+    with np.errstate(all="ignore"):
+        b = b * scale
+        if kind.startswith("zero"):
+            a = b if kind == "zero b" else np.zeros(n, complex)
+            b = b if kind == "zero a" else np.zeros(n, complex)
+        elif kind == "multiple":
+            a = s * b
+        elif kind == "perturbed":
+            # A residual of f * tol * the scale the verdict compares it with.
+            f = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+            size = max(np.linalg.norm(s * b), np.linalg.norm(b), 1.0)
+            a = s * b + np.eye(n)[draw(st.integers(0, n - 1))] * (f * tol * size)
+        else:
+            m = n + (kind == "length")
+            a = (rng.normal(size=m) + 1j * rng.normal(size=m)) * scale
+    return a, b, tol
+
+
+def _verdict(check, a, b, tol):
+    """check's scalar as its type and bits, or None, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = check(a, b, tol)
+    bits = None if s is None else (type(s), struct.pack("<dd", s.real, s.imag))
+    return bits, [(w.category, str(w.message)) for w in caught]
+
+
+@PROPERTY
+@given(proportionality_cases())
+# tol * the norm overflows, which only a numpy scalar warns about; the
+# squares of 1e200 overflow to inf and those of 1e-200 underflow to 0.
+@example(([3e10, 1e10j], [1.5e10, 0.5e10j], 1e300))
+@example(([1e200, 1e200j], [1e200, 2e200j], 1e-9))
+@example(([1e-200, 0j], [2e-200, 1e-200j], 1e-9))
+def test_proportionality_matches_linalg_norm_oracle_bitwise(case):
+    assert _verdict(proportionality, *case) == _verdict(linalg_norm_proportionality, *case)
 
 
 _amplitude_parts = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0)
