@@ -69,14 +69,6 @@ def hermitian_eig(m: np.ndarray, tol: float = EIG_CLAMP) -> tuple[np.ndarray, np
     return w[..., ::-1], v[..., ::-1]
 
 
-def read_only_eig(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`hermitian_eig` with both arrays read-only, for a frozen object to keep."""
-    w, v = hermitian_eig(m, tol)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
-
-
 def _norm(v: np.ndarray) -> np.float64:
     """np.linalg.norm of a complex vector without its dispatch: the same sum
     of the same dots, so the same bits and the same overflow warnings."""
@@ -198,7 +190,9 @@ def _density_spectra(
     if m.shape[int(stacked):] != (dim, dim):
         stack = " stack" if stacked else ""
         raise ValueError(f"expected a {dim}x{dim} matrix{stack}, got shape {m.shape}")
-    w, v = read_only_eig(m, tol=ATOL)
+    w, v = hermitian_eig(m, tol=ATOL)
+    w.flags.writeable = False
+    v.flags.writeable = False
     traces = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
     for tr in traces:
         if abs(tr - 1.0) > ATOL:

@@ -854,8 +854,8 @@ def run_scripted_derivation() -> DerivationResult:
                    and sum(d.nodes[m].kind == "H" for m in d.neighbors(nid)) >= 2]
         for nid in sorted(states) + sorted(flanked):
             apply("C", (nid,))
-        while match_rule(d, "HH"):
-            apply("HH", match_rule(d, "HH")[0])
+        while locs := match_rule(d, "HH"):
+            apply("HH", locs[0])
 
     def stage_fuse_states():
         while True:

@@ -1,10 +1,11 @@
 """Property tests of the numpy kernels: against independent numpy-only checks, and
-against the kernels they replaced where those are kept."""
+against the kernels they replaced where those are kept (see oracles.py)."""
 import cmath
 import itertools
 import math
 import struct
 import warnings
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -58,17 +59,10 @@ from nohidelab.zx import (
 
 from conftest import maximally_mixed, random_density, random_state
 from oracles import (
-    PerMatrixTomogramRaw,
-    ShotCounts,
     counter_local_sides,
     linalg_norm_proportionality,
-    per_matrix_born_probabilities,
-    per_matrix_project_physical,
-    per_matrix_reconstruct,
-    per_matrix_tomo_pipeline,
     per_point_sweep,
     string_canonical_order,
-    string_estimate_expectations,
     whole_diagram_scalar,
     whole_scalar,
 )
@@ -574,7 +568,10 @@ def test_batched_sweep_matches_per_point_oracle_bitwise(case):
     ]
 
 
-# Stacked tomography against the former single-matrix kernels.
+# Stacked tomography against references that share none of its algorithm:
+# the simplex projection of the spectrum, linear inversion of exact
+# expectations, Born probabilities from np.kron rotations, exactly rounded
+# fractions, and stacks of one.
 
 _dyadic = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
 
@@ -612,25 +609,32 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _simplex_projection(w: np.ndarray) -> np.ndarray:
+    """max(w - tau, 0) summing to 1, with tau found by bisection: the
+    Euclidean projection of w onto the probability simplex."""
+    w = w.tolist()
+    lo, hi = min(w) - 1.0, max(w)  # the sum is at least 1 at lo and 0 at hi
+    for _ in range(100):
+        tau = (lo + hi) / 2
+        lo, hi = (tau, hi) if sum(max(x - tau, 0.0) for x in w) >= 1.0 else (lo, tau)
+    return np.maximum(np.array(w) - lo, 0.0)
+
+
 @PROPERTY
 @given(hermitian_unit_trace_stacks())
-def test_stacked_projection_matches_per_matrix_oracle_bitwise(case):
+def test_linear_inversion_and_simplex_projection(case):
     n, stack = case
-    w, v = hermitian_eig(stack, tol=1e-9)  # as tomo_pipeline decomposes the raw stack
-    singles = [PerMatrixTomogramRaw(m) for m in stack]
-    for i, single in enumerate(singles):
-        assert _same_bits(w[i], single.spectrum[0])
-        assert _same_bits(v[i], single.spectrum[1])
-    for rho, single in zip(project_physical(w, v), singles, strict=True):
-        want = per_matrix_project_physical(single)
-        assert _same_bits(rho.matrix, want.matrix)
-        for ours, theirs in zip(rho.spectrum, want.spectrum):
-            assert _same_bits(ours, theirs)
-    # Linear inversion of the stack's exact Pauli expectations.
-    expectations = exact_expectations(stack)
-    for i, raw in enumerate(reconstruct(expectations, n)):
-        want = per_matrix_reconstruct({p: float(e[i]) for p, e in expectations.items()}, n)
-        assert _same_bits(raw, want.matrix)
+    raw = reconstruct(exact_expectations(stack), n)
+    assert raw.shape == stack.shape
+    assert np.abs(raw - stack).max() <= 1e-14
+    # The Frobenius-nearest unit-trace PSD matrix keeps the eigenvectors and
+    # projects the eigenvalues onto the probability simplex (Smolin, Gambetta
+    # & Smith, PRL 108, 070502 (2012)).
+    w, v = hermitian_eig(raw, tol=1e-9)  # as tomo_pipeline decomposes the raw stack
+    for rho, wi, vi in zip(project_physical(w, v), w, v, strict=True):
+        x = _simplex_projection(wi)
+        assert np.abs(rho.matrix - vi @ np.diag(x) @ vi.conj().T).max() <= 1e-14
+        assert np.abs(rho.spectrum[0] - x).max() <= 1e-14
 
 
 @PROPERTY
@@ -641,7 +645,7 @@ def test_one_bad_raw_member_raises_the_single_matrix_error(case, data):
     bad = stack[i].copy()
     bad[0, -1] += data.draw(st.sampled_from([1e-3, 0.1j, 2.0]))  # not Hermitian
     with pytest.raises(ValueError) as single:
-        PerMatrixTomogramRaw(bad)
+        hermitian_eig(bad, tol=1e-9)
     stack[i] = bad
     with pytest.raises(ValueError) as stacked:
         hermitian_eig(stack, tol=1e-9)
@@ -660,20 +664,35 @@ def tomography_cases(draw):
     return states, qubits, shots, draw(st.integers(0, 2 ** 32 - 1))
 
 
+# Measuring X applies H, and measuring Y applies S^dagger then H.
+_MEASURE = {"X": HADAMARD, "Y": HADAMARD @ np.diag([1, -1j]), "Z": np.eye(2)}
+
+
 @PROPERTY
 @given(tomography_cases())
-def test_stacked_tomography_matches_per_matrix_oracle_bitwise(case):
+def test_born_probabilities_are_the_rotated_diagonal(case):
+    # <b| U rho U^dagger |b> for each outcome b, with U the kron of the
+    # single-qubit rotations, qubit 0 the most significant.
+    states, qubits, _, _ = case
+    stack = np.array([partial_trace(s, qubits).matrix for s in states])
+    probs = born_probabilities(stack)
+    for b, basis in enumerate(itertools.product("XYZ", repeat=len(qubits))):
+        u = reduce(np.kron, [_MEASURE[ch] for ch in basis])
+        want = np.einsum("bi,pij,bj->pb", u, stack, u.conj()).real
+        assert np.abs(probs[:, b] - want).max() <= 1e-14
+
+
+@PROPERTY
+@given(tomography_cases())
+def test_stacked_tomography_matches_stacks_of_one_bitwise(case):
     states, qubits, shots, seed = case
-    results = tomo_pipeline([partial_trace(s, qubits) for s in states], shots, seed)
-    for i, (state, result) in enumerate(zip(states, results, strict=True)):
-        want = per_matrix_tomo_pipeline(state, qubits, shots, seed + i)
-        assert _same_bits(result.physical.matrix, want.physical.matrix)
-        assert _same_bits(result.reduced.matrix, want.reduced.matrix)
-        assert result.raw_min_eigenvalue == want.raw.min_eigenvalue
-        probs = born_probabilities(result.reduced.matrix[None])[0]
-        for b, basis in enumerate(itertools.product("XYZ", repeat=len(qubits))):
-            want_probs = per_matrix_born_probabilities(result.reduced, "".join(basis))
-            assert _same_bits(probs[b], want_probs)
+    reduced = [partial_trace(s, qubits) for s in states]
+    results = tomo_pipeline(reduced, shots, seed)
+    for i, (rho, result) in enumerate(zip(reduced, results, strict=True)):
+        [single] = tomo_pipeline([rho], shots, seed + i)
+        assert result.reduced is rho
+        assert result.raw_min_eigenvalue == single.raw_min_eigenvalue
+        assert _same_bits(result.physical.matrix, single.physical.matrix)
 
 
 @PROPERTY
@@ -711,16 +730,16 @@ def counts_by_basis(draw):
 
 @PROPERTY
 @given(counts_by_basis())
-def test_array_estimator_matches_string_oracle_exactly(case):
+def test_array_estimator_is_the_exactly_rounded_fraction(case):
+    # A Pauli is estimated from the basis with its I replaced by Z. Outcome j
+    # has qubit 0 as its most significant bit, and the Pauli's sign on it is
+    # the parity of j's bits at the Pauli's non-identity positions.
     n, counts = case
     ours = estimate_expectations(counts, n)
-    for i in range(len(counts["X" * n])):
-        as_strings = {
-            b: ShotCounts(b, int(c[i].sum()), {format(j, f"0{n}b"): int(x)
-                                               for j, x in enumerate(c[i].tolist()) if x > 0})
-            for b, c in counts.items()
-        }
-        oracle = string_estimate_expectations(as_strings, n)
-        assert list(ours) == list(oracle)
-        for pauli, value in oracle.items():
-            assert ours[pauli][i] == value, pauli
+    assert list(ours) == ["".join(p) for p in itertools.product("IXYZ", repeat=n)][1:]
+    for pauli, values in ours.items():
+        mask = sum(1 << (n - 1 - q) for q, ch in enumerate(pauli) if ch != "I")
+        rows = counts[pauli.replace("I", "Z")].tolist()
+        for value, row in zip(values.tolist(), rows, strict=True):
+            signed = sum(-c if (j & mask).bit_count() % 2 else c for j, c in enumerate(row))
+            assert value == float(Fraction(signed, sum(row))), pauli

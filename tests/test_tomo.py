@@ -183,13 +183,6 @@ class TestReconstruct:
         raw = raw_of(exact_of(rho), 2)
         assert np.abs(raw - rho.matrix).max() < 1e-12
 
-    def test_inverse_of_pauli_decomposition(self, rng):
-        for n in (1, 2):
-            matrices = np.array([random_density(rng, n).matrix for _ in range(10)])
-            raws = reconstruct(exact_expectations(matrices), n)
-            assert raws.shape == matrices.shape
-            assert np.abs(raws - matrices).max() < 1e-12
-
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing expectation for Pauli 'Y'"):
             raw_of({"X": 0.0, "Z": 0.0}, 1)
@@ -202,24 +195,6 @@ class TestReconstruct:
         raw = reconstruct({p: np.array([0.0]) for p in ("X", "Y", "Z")}, 1)
         assert raw.shape == (1, 2, 2)
         assert np.array_equal(raw[0], np.eye(2) / 2)
-
-
-def _simplex_grid_best(target: np.ndarray, step: float = 0.01) -> float:
-    """Brute-force closest PSD trace-1 spectrum in l2, on a simplex grid."""
-    best = math.inf
-    ticks = int(round(1.0 / step))
-    if len(target) == 2:
-        for i in range(ticks + 1):
-            w = np.array([i * step, 1 - i * step])
-            best = min(best, float(np.sum((w - target) ** 2)))
-        return best
-    for i, j, k in itertools.product(range(ticks + 1), repeat=3):
-        rest = 1.0 - (i + j + k) * step
-        if rest < -1e-12:
-            continue
-        w = np.array([i * step, j * step, k * step, max(rest, 0.0)])
-        best = min(best, float(np.sum((w - target) ** 2)))
-    return best
 
 
 class TestProjectPhysical:
@@ -244,19 +219,11 @@ class TestProjectPhysical:
         fixed = projected(raw)
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [1.0, 0.0]).max() < 1e-12
-        # brute force over the 1-parameter family confirms optimality
-        target = np.array([1.1, -0.1])
-        ours = float(np.sum((np.array([1.0, 0.0]) - target) ** 2))
-        assert ours <= _simplex_grid_best(target, step=0.001) + 1e-9
 
-    def test_four_level_redistribution_vs_grid_oracle(self):
-        spectrum = np.array([0.8, 0.5, -0.2, -0.1])
-        raw = np.diag(spectrum).astype(complex)
-        fixed = projected(raw)
+    def test_four_level_redistribution(self):
+        fixed = projected(np.diag([0.8, 0.5, -0.2, -0.1]).astype(complex))
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [0.65, 0.35, 0.0, 0.0]).max() < 1e-12
-        ours = float(np.sum((np.sort(w) - np.sort(spectrum)) ** 2))
-        assert ours <= _simplex_grid_best(spectrum, step=0.01) + 1e-6
 
     def test_idempotent(self, rng):
         raw = np.diag([0.9, 0.4, -0.1, -0.2]).astype(complex)
@@ -360,13 +327,3 @@ class TestPipeline:
             assert tomo.report_dict(result)["fidelity"] == qmath.fidelity(
                 result.physical, result.reduced
             )
-
-    def test_state_i_of_a_stack_samples_on_seed_plus_i(self, rng):
-        states = [partial_trace(s, [2, 0]) for s in
-                  (random_state(rng, 3), random_density(rng, 3), random_state(rng, 3))]
-        stacked = tomo_pipeline(states, shots=64, seed=10)
-        for i, (state, got) in enumerate(zip(states, stacked)):
-            (alone,) = tomo_pipeline([state], shots=64, seed=10 + i)
-            assert got.raw_min_eigenvalue == alone.raw_min_eigenvalue
-            for a, b in zip(got[1:], alone[1:]):
-                assert a.matrix.tobytes() == b.matrix.tobytes()
