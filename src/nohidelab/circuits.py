@@ -20,6 +20,8 @@ U3(theta, phi, lam) = [[cos(t/2), -e^{i lam} sin(t/2)],
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -153,6 +155,18 @@ class Circuit:
         return Circuit(self.num_qubits, self.gates + tuple(more))
 
 
+# Index tuples only, keyed on (rank, axes): at MAX_QUBITS there are 20 one-
+# and 380 two-qubit placements per rank.
+@functools.lru_cache(maxsize=1024)
+def _transposes(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that moves `axes` to the front, and its inverse."""
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    inverse = [0] * ndim
+    for i, a in enumerate(perm):
+        inverse[a] = i
+    return perm, tuple(inverse)
+
+
 def _apply_op(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Apply a 2^k operator to `axes` of a (2,)*m tensor; axes[0] is the op's MSB.
 
@@ -160,12 +174,9 @@ def _apply_op(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.nda
     so the result is bit-identical to contracting with tensordot and moving
     the op's axes back; only its generic axis normalisation is skipped.
     """
-    perm = list(axes) + [a for a in range(tensor.ndim) if a not in axes]
+    perm, inverse = _transposes(tensor.ndim, tuple(axes))
     moved = tensor.transpose(perm)
     out = np.dot(op, moved.reshape(len(op), -1))
-    inverse = [0] * len(perm)
-    for i, a in enumerate(perm):
-        inverse[a] = i
     return out.reshape(moved.shape).transpose(inverse)
 
 
@@ -245,99 +256,94 @@ def ascii_float(text: str) -> float:
 _LINE_END = re.compile(r"\r\n|\r|\n")
 
 
-def _tokenize(text: str):
-    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
-        cut = raw.find("#")
-        if cut >= 0:
-            raw = raw[:cut]
-        toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw)]
-        if toks:
-            yield lineno, toks
+def _column(line: str, j: int) -> int:
+    """The 1-based column of token j of a line: only a diagnostic needs one."""
+    return next(itertools.islice(_TOKEN.finditer(line), j, None)).start() + 1
 
 
-def _parse_index(tok: str, col: int, lineno: int, num_qubits: int) -> int:
+def _parse_index(tok: str, num_qubits: int) -> int:
     try:
         value = ascii_int(tok)
     except ValueError:
-        raise CircuitParseError(f"expected qubit index, got {tok!r}", lineno, col) from None
+        raise ValueError(f"expected qubit index, got {tok!r}") from None
     if not 0 <= value < num_qubits:
-        raise CircuitParseError(
-            f"index out of range: qubit {value} in a {num_qubits}-qubit register",
-            lineno, col,
-        )
+        raise ValueError(f"index out of range: qubit {value} in a {num_qubits}-qubit register")
     return value
 
 
-def _parse_angle(tok: str, col: int, lineno: int) -> float:
+def _parse_angle(tok: str) -> float:
     try:
         value = ascii_float(tok)
     except ValueError:
-        raise CircuitParseError(f"malformed angle literal {tok!r}", lineno, col) from None
+        raise ValueError(f"malformed angle literal {tok!r}") from None
     if not math.isfinite(value):
-        raise CircuitParseError(f"malformed angle literal {tok!r}", lineno, col)
+        raise ValueError(f"malformed angle literal {tok!r}")
     return value
 
 
-def parse_circuit(text: str) -> Circuit:
-    """Parse the circuit text format; diagnostics carry line and column."""
-    lines = list(_tokenize(text))
-    if not lines:
-        raise CircuitParseError("empty input: expected a 'qubits N' header", 1, 1)
-    lineno, toks = lines[0]
-    if toks[0][0] != "qubits":
+def _parse_header(line: str, toks: list[str], lineno: int) -> int:
+    """The qubit count of a 'qubits N' statement."""
+    if toks[0] != "qubits":
         raise CircuitParseError(
-            f"expected 'qubits N' header, got {toks[0][0]!r}", lineno, toks[0][1]
-        )
+            f"expected 'qubits N' header, got {toks[0]!r}", lineno, _column(line, 0))
     if len(toks) != 2:
-        col = toks[1][1] if len(toks) > 2 else toks[0][1]
-        raise CircuitParseError("header must be exactly 'qubits N'", lineno, col)
+        raise CircuitParseError(
+            "header must be exactly 'qubits N'", lineno, _column(line, 1 if len(toks) > 2 else 0))
     try:
-        num_qubits = ascii_int(toks[1][0])
+        num_qubits = ascii_int(toks[1])
     except ValueError:
         raise CircuitParseError(
-            f"expected qubit count, got {toks[1][0]!r}", lineno, toks[1][1]
-        ) from None
+            f"expected qubit count, got {toks[1]!r}", lineno, _column(line, 1)) from None
     if num_qubits < 1:
-        raise CircuitParseError("qubit count must be at least 1", lineno, toks[1][1])
+        raise CircuitParseError("qubit count must be at least 1", lineno, _column(line, 1))
     if num_qubits > MAX_QUBITS:
         raise CircuitParseError(
-            f"qubit count {num_qubits} exceeds the limit of {MAX_QUBITS}", lineno, toks[1][1]
-        )
+            f"qubit count {num_qubits} exceeds the limit of {MAX_QUBITS}", lineno, _column(line, 1))
+    return num_qubits
 
+
+def parse_circuit(text: str) -> Circuit:
+    """Parse the circuit text format; diagnostics carry line and column.
+
+    str.split() splits a line where `_TOKEN` does, on the same characters, so
+    a token's column is looked up only when a diagnostic names it.
+    """
+    num_qubits = 0
     gates: list[Gate] = []
-    for lineno, toks in lines[1:]:
-        mnemonic, col0 = toks[0]
+    for lineno, line in enumerate(_LINE_END.split(text), start=1):
+        cut = line.find("#")
+        if cut >= 0:
+            line = line[:cut]
+        toks = line.split()
+        if not toks:
+            continue
+        if not num_qubits:
+            num_qubits = _parse_header(line, toks, lineno)
+            continue
+        mnemonic = toks[0]
         if mnemonic not in GATE_ARITY:
-            raise CircuitParseError(f"unknown mnemonic {mnemonic!r}", lineno, col0)
+            raise CircuitParseError(f"unknown mnemonic {mnemonic!r}", lineno, _column(line, 0))
         n_angles = PARAM_COUNT.get(mnemonic, 0)
         n_idx = GATE_ARITY[mnemonic]
-        args = toks[1:]
-        if len(args) != n_angles + n_idx:
-            where = args[-1][1] if len(args) > n_angles + n_idx else col0
+        n_args = len(toks) - 1
+        if n_args != n_angles + n_idx:
             raise CircuitParseError(
                 f"gate {mnemonic!r} expects {n_angles + n_idx} arguments "
-                f"({n_angles} angles, {n_idx} qubits), got {len(args)}",
-                lineno, where,
+                f"({n_angles} angles, {n_idx} qubits), got {n_args}",
+                lineno, _column(line, n_args if n_args > n_angles + n_idx else 0),
             )
-        params = tuple(
-            _parse_angle(tok, col, lineno) for tok, col in args[:n_angles]
-        )
-        targets = tuple(
-            _parse_index(tok, col, lineno, num_qubits) for tok, col in args[n_angles:]
-        )
+        values: list = []
         try:
-            gates.append(Gate(mnemonic, targets, params))
+            for tok in toks[1:n_angles + 1]:
+                values.append(_parse_angle(tok))
+            for tok in toks[n_angles + 1:]:
+                values.append(_parse_index(tok, num_qubits))
+            gates.append(Gate(mnemonic, tuple(values[n_angles:]), tuple(values[:n_angles])))
         except ValueError as exc:
-            raise CircuitParseError(str(exc), lineno, col0) from None
+            # The token that failed follows the values read; once all are
+            # read, the error is Gate's own, at the mnemonic.
+            j = len(values) + 1 if len(values) < n_args else 0
+            raise CircuitParseError(str(exc), lineno, _column(line, j)) from None
+    if not num_qubits:
+        raise CircuitParseError("empty input: expected a 'qubits N' header", 1, 1)
     return Circuit(num_qubits, tuple(gates))
-
-
-def render_circuit(c: Circuit) -> str:
-    """Inverse of parse_circuit for the text-representable gate kinds."""
-    out = [f"qubits {c.num_qubits}"]
-    for g in c.gates:
-        if g.kind == "unitary":
-            raise ValueError("unitary gates have no text form")
-        parts = [g.kind] + [repr(p) for p in g.params] + [str(t) for t in g.targets]
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"

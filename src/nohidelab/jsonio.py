@@ -73,22 +73,29 @@ def _render_rows(value: np.ndarray, indent: int) -> str:
         return "[]"
     outer = "\n" + "  " * (indent + 1)
     inner = outer + "  "
-    slots = ("," + inner).join(["%s"] * value.shape[1])
-    row = "[" + inner + slots + outer + "]" if slots else "[]"
+    width = value.shape[1]
+    first, last = ("[" + inner, outer + "]") if width else ("[", "]")
+    cell_sep, row_sep = "," + inner, last + "," + outer + first
     batches = []
     for start in range(0, len(value), ROWS_PER_BATCH):
         block = value[start:start + ROWS_PER_BATCH]
         flat = block.ravel()
         # Zeros, most cells of a sparse state, are not formatted: "0.0" for now.
-        cells = [format(x, ".17g") if x else "0.0" for x in flat.tolist()]
+        cells = ["0.0"] * len(flat)
+        nonzero = np.flatnonzero(flat)
+        for i, x in zip(nonzero.tolist(), flat[nonzero].tolist()):
+            cells[i] = format(x, ".17g")
         # Where format_float's text differs: integral values below 1e17 in
         # magnitude, exactly those .17g prints with neither "." nor "e", take
         # ".0", and -0.0 takes its sign. +0.0, whose bits are all zero, is done.
         fix = (flat == np.floor(flat)) & (np.abs(flat) < 1e17) & (flat.view(np.int64) != 0)
         for i in np.flatnonzero(fix).tolist():
             cells[i] = "-0.0" if cells[i] == "0.0" else cells[i] + ".0"
-        batches.append(("," + outer).join([row] * len(block)) % tuple(cells))
-    return "[" + outer + ("," + outer).join(batches) + outer[:-2] + "]"
+        # A row is one join of its cells. Rows, and then batches, are joined
+        # by the text that closes one row and opens the next.
+        rows = zip(*[iter(cells)] * width) if width else [()] * len(block)
+        batches.append(row_sep.join(map(cell_sep.join, rows)))
+    return "[" + outer + first + row_sep.join(batches) + last + outer[:-2] + "]"
 
 
 def json_text(value) -> str:

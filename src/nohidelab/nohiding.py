@@ -36,7 +36,6 @@ from .qmath import (
     is_unitary,
     kron,
     partial_trace,
-    partial_trace_matrix,
 )
 from .tomo import TomoResult, tomo_pipeline
 
@@ -253,37 +252,6 @@ def build_imperfect_circuit(p: float) -> Circuit:
     return Circuit(4, _imperfect_core_gates(p) + _imperfect_tail_gates()[3:])
 
 
-def imperfect_channel_images(p: float) -> dict[str, np.ndarray]:
-    """System-qubit images of I, X, Y, Z under the pre-decode dilation."""
-    circuit = Circuit(4, _imperfect_core_gates(p))
-    u = circuit_unitary(circuit)
-    env = np.zeros((8, 8), dtype=complex)
-    env[0, 0] = 1.0
-    images = {}
-    for name, pauli in PAULIS.items():
-        full = kron(pauli, env)
-        images[name] = partial_trace_matrix(u @ full @ u.conj().T, 4, [0])
-    return images
-
-
-def depolarizing_kraus(p: float) -> tuple[np.ndarray, ...]:
-    """Kraus operators of the single-qubit map mixing the input with I/2 at
-    weight p: sqrt(1 - 3p/4) I and sqrt(p/4) X, Y, Z, zero weights omitted."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing weight p={p!r} outside [0, 1]")
-    weights = [(1.0 - 0.75 * p, "I"), (p / 4.0, "X"), (p / 4.0, "Y"), (p / 4.0, "Z")]
-    return tuple(math.sqrt(w) * PAULIS[name] for w, name in weights if w > 0.0)
-
-
-def depolarized_images(p: float) -> dict[str, np.ndarray]:
-    """The same four Pauli images under the Kraus form of the bleaching map."""
-    kraus = depolarizing_kraus(p)
-    return {
-        name: sum(k @ pauli @ k.conj().T for k in kraus)
-        for name, pauli in PAULIS.items()
-    }
-
-
 class ExperimentRecord(NamedTuple):
     """One sweep entry at bleaching weight p; its fields are the output columns, in order."""
 
@@ -358,20 +326,6 @@ def sweep_rows(records: Sequence[ExperimentRecord]) -> list[dict[str, float]]:
     return [r._asdict() for r in records]
 
 
-def bleaching_check(tag: str, psi: StateVector) -> float:
-    """Trace distance of the erased system from I/2 (should be 0)."""
-    circuit = build_erasure_circuit(tag)
-    out = run_statevector(circuit, psi.tensor(StateVector.ket("00")))
-    return distances_to_mixed([partial_trace(out, [0])])[0][0]
-
-
-def channel_identity_error(p: float) -> float:
-    """Max entrywise gap between the dilated map and its Kraus form."""
-    dilated = imperfect_channel_images(p)
-    direct = depolarized_images(p)
-    return max(float(np.abs(dilated[k] - direct[k]).max()) for k in dilated)
-
-
 __all__ = [
     "VARIANT_TAGS",
     "RandomizerVariant",
@@ -389,9 +343,4 @@ __all__ = [
     "DECODER_GATES",
     "PerfectResult",
     "ExperimentRecord",
-    "imperfect_channel_images",
-    "depolarizing_kraus",
-    "depolarized_images",
-    "bleaching_check",
-    "channel_identity_error",
 ]

@@ -92,11 +92,6 @@ def proportionality(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> complex 
     return None
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    s = proportionality(a, b, tol)
-    return s is not None and abs(abs(s) - 1.0) <= tol
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Pure state of an n-qubit register; qubit 0 is the index MSB."""
@@ -173,9 +168,6 @@ class DensityMatrix:
             object.__setattr__(member, "spectrum", (w[i], v[i]))
             members.append(member)
         return members
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 def _density_spectra(

@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 import nohidelab
 from nohidelab.qmath import DensityMatrix, StateVector
 
 DATA = Path(__file__).parent / "data"
+# For tools/mutants.py: a mutant is killed by any falsifying example, so the
+# shrink phase, most of a kill's time, is skipped. Tier-1 keeps the default.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 # 5 gates at MAX_QUBITS: 2^19-column dots, and amplitudes across 127 row-batch joins.
 Q20_CIRCUIT = "qubits 20\nh 0\nu3 0.3 1.1 -0.7 1\ncx 0 19\nt 19\nh 10\n"
 

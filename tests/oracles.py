@@ -1,5 +1,6 @@
 """Test oracles: former kernels of the library kept to check the code that
-replaced them, and a per-point composition of library calls.
+replaced them, a per-point composition of library calls, and references
+that only tests call.
 
 Each former kernel stays while the code it checks stays, and while no
 independent check catches what it catches. All are verbatim but for the name.
@@ -8,6 +9,11 @@ independent check catches what it catches. All are verbatim but for the name.
   It shares no code with the integer colour refinement it checks, and only
   the comparison of the two orders catches a refinement that is skipped or a
   BFS that breaks ties by node id.
+- `column_parse_circuit` is the former `circuits.parse_circuit`, which
+  tokenizes each line into (token, column) pairs with `_TOKEN` before it
+  parses. The parser that replaced it splits with `str.split()` and finds a
+  column only for a diagnostic; the two must agree on every circuit and on
+  every error's message, line and column.
 - `tensordot_apply_op` is the former `circuits._apply_op`: a `tensordot` on
   the touched axes, then a `moveaxis` back. It is the reference of the
   README's claim that the gate kernel is bit-identical to `tensordot`.
@@ -25,22 +31,51 @@ it builds each point's circuit, simulates it, reduces the system wire, and
 tomographs it as a stack of one on seed + i. It calls only library functions.
 The property tests in test_oracles.py and test_circuits.py compare the
 library against these.
+
+`channel_identity_error` is the reference of acceptance criterion 07: the
+images of I, X, Y, Z under the imperfect experiment's dilation, against the
+same images under `depolarizing_kraus(p)`, the Kraus form of the map that
+mixes the input with I/2 at weight p. `equal_up_to_global_phase` is
+`qmath.proportionality` with a unit-modulus scalar. No command calls these.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-from nohidelab.circuits import run_statevector
+from nohidelab.circuits import (
+    _LINE_END,
+    _TOKEN,
+    GATE_ARITY,
+    MAX_QUBITS,
+    PARAM_COUNT,
+    Circuit,
+    CircuitParseError,
+    Gate,
+    ascii_float,
+    ascii_int,
+    circuit_unitary,
+    run_statevector,
+)
 from nohidelab.nohiding import (
     _IMPERFECT_SYSTEM_WIRE,
     ExperimentRecord,
+    _imperfect_core_gates,
     build_imperfect_circuit,
     default_input_state,
 )
-from nohidelab.qmath import StateVector, distances_to_mixed, partial_trace, proportionality
+from nohidelab.qmath import (
+    PAULIS,
+    StateVector,
+    distances_to_mixed,
+    kron,
+    partial_trace,
+    partial_trace_matrix,
+    proportionality,
+)
 from nohidelab.tomo import tomo_pipeline
 from nohidelab.zx import ZXDiagram, ZXNode, apply_rule, evaluate
 
@@ -92,6 +127,93 @@ def string_canonical_order(d: ZXDiagram) -> list[int]:
         seen.add(start)
         order.append(start)
         queue.append(start)
+
+
+def _tokenize(text: str):
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        cut = raw.find("#")
+        if cut >= 0:
+            raw = raw[:cut]
+        toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw)]
+        if toks:
+            yield lineno, toks
+
+
+def _parse_index(tok: str, col: int, lineno: int, num_qubits: int) -> int:
+    try:
+        value = ascii_int(tok)
+    except ValueError:
+        raise CircuitParseError(f"expected qubit index, got {tok!r}", lineno, col) from None
+    if not 0 <= value < num_qubits:
+        raise CircuitParseError(
+            f"index out of range: qubit {value} in a {num_qubits}-qubit register",
+            lineno, col,
+        )
+    return value
+
+
+def _parse_angle(tok: str, col: int, lineno: int) -> float:
+    try:
+        value = ascii_float(tok)
+    except ValueError:
+        raise CircuitParseError(f"malformed angle literal {tok!r}", lineno, col) from None
+    if not math.isfinite(value):
+        raise CircuitParseError(f"malformed angle literal {tok!r}", lineno, col)
+    return value
+
+
+def column_parse_circuit(text: str) -> Circuit:
+    """Parse the circuit text format; diagnostics carry line and column."""
+    lines = list(_tokenize(text))
+    if not lines:
+        raise CircuitParseError("empty input: expected a 'qubits N' header", 1, 1)
+    lineno, toks = lines[0]
+    if toks[0][0] != "qubits":
+        raise CircuitParseError(
+            f"expected 'qubits N' header, got {toks[0][0]!r}", lineno, toks[0][1]
+        )
+    if len(toks) != 2:
+        col = toks[1][1] if len(toks) > 2 else toks[0][1]
+        raise CircuitParseError("header must be exactly 'qubits N'", lineno, col)
+    try:
+        num_qubits = ascii_int(toks[1][0])
+    except ValueError:
+        raise CircuitParseError(
+            f"expected qubit count, got {toks[1][0]!r}", lineno, toks[1][1]
+        ) from None
+    if num_qubits < 1:
+        raise CircuitParseError("qubit count must be at least 1", lineno, toks[1][1])
+    if num_qubits > MAX_QUBITS:
+        raise CircuitParseError(
+            f"qubit count {num_qubits} exceeds the limit of {MAX_QUBITS}", lineno, toks[1][1]
+        )
+
+    gates: list[Gate] = []
+    for lineno, toks in lines[1:]:
+        mnemonic, col0 = toks[0]
+        if mnemonic not in GATE_ARITY:
+            raise CircuitParseError(f"unknown mnemonic {mnemonic!r}", lineno, col0)
+        n_angles = PARAM_COUNT.get(mnemonic, 0)
+        n_idx = GATE_ARITY[mnemonic]
+        args = toks[1:]
+        if len(args) != n_angles + n_idx:
+            where = args[-1][1] if len(args) > n_angles + n_idx else col0
+            raise CircuitParseError(
+                f"gate {mnemonic!r} expects {n_angles + n_idx} arguments "
+                f"({n_angles} angles, {n_idx} qubits), got {len(args)}",
+                lineno, where,
+            )
+        params = tuple(
+            _parse_angle(tok, col, lineno) for tok, col in args[:n_angles]
+        )
+        targets = tuple(
+            _parse_index(tok, col, lineno, num_qubits) for tok, col in args[n_angles:]
+        )
+        try:
+            gates.append(Gate(mnemonic, targets, params))
+        except ValueError as exc:
+            raise CircuitParseError(str(exc), lineno, col0) from None
+    return Circuit(num_qubits, tuple(gates))
 
 
 def tensordot_apply_op(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -200,3 +322,46 @@ def per_point_sweep(
             raw_min_eigenvalue=tomo.raw_min_eigenvalue,
         ))
     return records
+
+
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    s = proportionality(a, b, tol)
+    return s is not None and abs(abs(s) - 1.0) <= tol
+
+
+def imperfect_channel_images(p: float) -> dict[str, np.ndarray]:
+    """System-qubit images of I, X, Y, Z under the pre-decode dilation."""
+    circuit = Circuit(4, _imperfect_core_gates(p))
+    u = circuit_unitary(circuit)
+    env = np.zeros((8, 8), dtype=complex)
+    env[0, 0] = 1.0
+    images = {}
+    for name, pauli in PAULIS.items():
+        full = kron(pauli, env)
+        images[name] = partial_trace_matrix(u @ full @ u.conj().T, 4, [0])
+    return images
+
+
+def depolarizing_kraus(p: float) -> tuple[np.ndarray, ...]:
+    """Kraus operators of the single-qubit map mixing the input with I/2 at
+    weight p: sqrt(1 - 3p/4) I and sqrt(p/4) X, Y, Z, zero weights omitted."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing weight p={p!r} outside [0, 1]")
+    weights = [(1.0 - 0.75 * p, "I"), (p / 4.0, "X"), (p / 4.0, "Y"), (p / 4.0, "Z")]
+    return tuple(math.sqrt(w) * PAULIS[name] for w, name in weights if w > 0.0)
+
+
+def depolarized_images(p: float) -> dict[str, np.ndarray]:
+    """The same four Pauli images under the Kraus form of the bleaching map."""
+    kraus = depolarizing_kraus(p)
+    return {
+        name: sum(k @ pauli @ k.conj().T for k in kraus)
+        for name, pauli in PAULIS.items()
+    }
+
+
+def channel_identity_error(p: float) -> float:
+    """Max entrywise gap between the dilated map and its Kraus form."""
+    dilated = imperfect_channel_images(p)
+    direct = depolarized_images(p)
+    return max(float(np.abs(dilated[k] - direct[k]).max()) for k in dilated)

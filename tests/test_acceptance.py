@@ -16,7 +16,6 @@ from nohidelab.nohiding import (
     build_erasure_circuit,
     build_full_circuit,
     build_randomizer,
-    channel_identity_error,
     default_input_state,
     run_perfect,
     run_sweep,
@@ -24,6 +23,7 @@ from nohidelab.nohiding import (
 from nohidelab.qmath import StateVector, fidelity, partial_trace, proportionality
 
 from conftest import Q20_CIRCUIT, assert_same, fresh_run, random_state
+from oracles import channel_identity_error
 from test_zx import planted_b2_diagram, random_circuit
 
 # Hardware fidelities reported for the original superconducting runs; desk

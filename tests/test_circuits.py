@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nohidelab import qmath
@@ -23,17 +23,31 @@ from nohidelab.circuits import (
     circuit_unitary,
     gate_matrix,
     parse_circuit,
-    render_circuit,
     run_statevector,
     u3_matrix,
 )
-from nohidelab.nohiding import depolarizing_kraus
 from nohidelab.qmath import StateVector, kron
 
 from conftest import Q20_CIRCUIT, assert_same, random_density, random_state
-from oracles import tensordot_apply_op
+from oracles import (
+    column_parse_circuit,
+    depolarizing_kraus,
+    equal_up_to_global_phase,
+    tensordot_apply_op,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "circuit_grammar_golden.json"
+
+
+def render_circuit(c: Circuit) -> str:
+    """Inverse of parse_circuit for the text-representable gate kinds."""
+    out = [f"qubits {c.num_qubits}"]
+    for g in c.gates:
+        if g.kind == "unitary":
+            raise ValueError("unitary gates have no text form")
+        parts = [g.kind] + [repr(p) for p in g.params] + [str(t) for t in g.targets]
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
 
 
 class TestParser:
@@ -166,8 +180,20 @@ _PARSER_TOKENS = ["qubits", "h", "cx", "swap", "u3", "ccx", "unitary", "0", "1",
                   "\x0b", "\u2028", " "]
 
 
+# A header, then gate lines whose arguments are good or bad in each way the
+# parser reports. Without them, no drawn text gets past the header.
+_GATE_LINES = st.lists(st.tuples(
+    st.sampled_from([*GATE_ARITY, "ccx"]),
+    st.lists(st.sampled_from(["0", "1", "2", "3", "-1", ".5", "1e400", "nan", "#"]),
+             min_size=1, max_size=4),
+).map(lambda gate: " ".join([gate[0], *gate[1]])), max_size=6).map(
+    lambda lines: "\n".join(["qubits 3", *lines]))
+_PARSER_TEXT = st.one_of(st.text(), st.lists(st.sampled_from(_PARSER_TOKENS)).map(" ".join),
+                         _GATE_LINES)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.text(), st.lists(st.sampled_from(_PARSER_TOKENS)).map(" ".join)))
+@given(_PARSER_TEXT)
 def test_parser_total_on_arbitrary_text(text):
     try:
         result = parse_circuit(text)
@@ -176,6 +202,26 @@ def test_parser_total_on_arbitrary_text(text):
         assert exc.col >= 1
     else:
         assert isinstance(result, Circuit)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except CircuitParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_PARSER_TEXT)
+@example("qubits 3\n\tcx 1 1  # Gate's own error")
+@example("qubits 3\n u3 .5 nan 0 1")
+@example("qubits 3\nu3 .5 1e400 1_0 3")
+@example("qubits 3\nu3 .5 .5 .5 3")
+@example("qubits 3\nswap 0 -1 #")
+@example("qubits\u2028 21")
+@example("\n  qubits 2 3 4")
+def test_parser_matches_column_oracle(text):
+    assert _outcome(parse_circuit, text) == _outcome(column_parse_circuit, text)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -337,7 +383,7 @@ class TestStatevectorSim:
         target = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
         phase = cmath.exp(1j * math.pi / 8)
         assert np.abs(out.amplitudes - phase * target).max() < 1e-12
-        assert qmath.equal_up_to_global_phase(out.amplitudes, target)
+        assert equal_up_to_global_phase(out.amplitudes, target)
 
     def test_linearity_on_random_instances(self, rng):
         c = Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("t", (1,))))

@@ -7,20 +7,19 @@ from nohidelab import nohiding, qmath
 from nohidelab.circuits import run_statevector
 from nohidelab.nohiding import (
     DEFAULT_SWEEP_GRID,
-    bleaching_check,
     build_erasure_circuit,
     build_full_circuit,
     build_imperfect_circuit,
     build_randomizer,
-    channel_identity_error,
     default_input_state,
     run_perfect,
     run_sweep,
     sweep_rows,
 )
-from nohidelab.qmath import DensityMatrix, StateVector, partial_trace
+from nohidelab.qmath import DensityMatrix, StateVector, distances_to_mixed, partial_trace
 
 from conftest import random_state
+from oracles import channel_identity_error
 
 # The Paulis written out, so the checks below share nothing with nohiding's blocks.
 _PAULIS = {
@@ -28,6 +27,13 @@ _PAULIS = {
     "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.array([[1, 0], [0, -1]]),
 }
 _HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+def bleaching_check(tag: str, psi: StateVector) -> float:
+    """Trace distance of the erased system from I/2 (should be 0)."""
+    circuit = build_erasure_circuit(tag)
+    out = run_statevector(circuit, psi.tensor(StateVector.ket("00")))
+    return distances_to_mixed([partial_trace(out, [0])])[0][0]
 
 
 def _rotation_x(angle: float) -> np.ndarray:
@@ -142,7 +148,7 @@ class TestErasure:
         psi = random_state(rng, 1)
         out = run_statevector(circuit, psi.tensor(StateVector.ket("00")))
         system = partial_trace(out.to_density(), [0])
-        assert system.purity() == pytest.approx(0.5, abs=1e-10)
+        assert np.trace(system.matrix @ system.matrix).real == pytest.approx(0.5, abs=1e-10)
 
 
 class TestFullCircuit:

@@ -274,6 +274,15 @@ def test_canonical_order_matches_string_oracle(d):
     assert _canonical_order(d) == string_canonical_order(d)
 
 
+def test_components_no_boundary_reaches_start_at_the_least_label():
+    # Two legless spiders, their ids in the reverse of their label order
+    # ("Z:1.0..." < "Z:5.0..."): each component the boundaries do not reach
+    # starts at its least label, whatever the ids.
+    d = ZXDiagram({0: ZXNode("in"), 1: ZXNode("out"), 2: ZXNode("Z", 0.5), 3: ZXNode("Z", 1.0)},
+                  ((0, 1),), (0,), (1,))
+    assert _canonical_order(d) == string_canonical_order(d) == [0, 1, 3, 2]
+
+
 @PROPERTY
 @given(recoloured_diagrams(), st.data())
 def test_relabelled_node_ids_evaluate_bitwise(d, data):

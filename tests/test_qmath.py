@@ -18,6 +18,7 @@ from nohidelab.qmath import (
 )
 
 from conftest import maximally_mixed, random_density, random_hermitian, random_state
+from oracles import equal_up_to_global_phase
 
 
 class TestKron:
@@ -303,5 +304,5 @@ def test_proportionality_detects_scalars(rng):
     s = proportionality(2j * a, a)
     assert s is not None and s == pytest.approx(2j)
     assert proportionality(a + 1.0, a) is None
-    assert qmath.equal_up_to_global_phase(1j * a, a)
-    assert not qmath.equal_up_to_global_phase(2 * a, a)
+    assert equal_up_to_global_phase(1j * a, a)
+    assert not equal_up_to_global_phase(2 * a, a)

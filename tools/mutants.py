@@ -6,10 +6,13 @@ names the tests that must fail on it. Run it with no options:
 It copies the files `git ls-files` lists (tracked, or untracked and not
 ignored) to a temporary directory and runs every named test there, which
 must pass. Then, row by row, it replaces the row's old text by its new text,
-runs `python -m pytest -q -x -p no:cacheprovider <tests>` with PYTHONPATH set
-to the copy's `src`, and restores the file. pytest exit code 1 is a kill, 0
-a survival. It exits 1 on a survivor not marked as known, on a killed one
-that is marked (the mark is stale), and on any other pytest exit code.
+runs `python -m pytest -q -x -p no:cacheprovider --hypothesis-profile mutants
+<tests>` with PYTHONPATH set to the copy's `src`, and restores the file.
+pytest exit code 1 is a kill, 0 a survival. It exits 1 on a survivor not
+marked as known, on a killed one that is marked (the mark is stale), and on
+any other pytest exit code. The `mutants` profile (tests/conftest.py) skips
+hypothesis's shrink phase: any falsifying example kills a mutant, and
+shrinking one took most of the time.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ class Mutant(NamedTuple):
     survives: str = ""  # why the tests cannot catch it; empty if they must
 
 
-CIRCUITS, QMATH, TOMO, NOHIDING, ZX = (
-    f"src/nohidelab/{m}.py" for m in ("circuits", "qmath", "tomo", "nohiding", "zx"))
+CIRCUITS, QMATH, TOMO, NOHIDING, ZX, JSONIO = (
+    f"src/nohidelab/{m}.py" for m in ("circuits", "qmath", "tomo", "nohiding", "zx", "jsonio"))
 ORACLES = "tests/test_oracles.py::"
 GOLDEN = "tests/test_cli.py::test_run_matches_golden_bytes[perfect_golden_{}.json]"
 RANDOMIZER = ("tests/test_nohiding.py::TestRandomizer::"
@@ -54,6 +57,13 @@ MUTANTS = (
            "out = np.dot(op, moved.reshape(len(op), -1))",
            "out = np.dot(np.asfortranarray(op), moved.reshape(len(op), -1))",
            ("tests/test_circuits.py::test_apply_op_is_bitwise_tensordot",)),
+    Mutant("forward transpose in place of the cached inverse", CIRCUITS,
+           "out.reshape(moved.shape).transpose(inverse)", "out.reshape(moved.shape).transpose(perm)",
+           ("tests/test_circuits.py::test_apply_op_is_bitwise_tensordot",)),
+    Mutant("bad qubit index reported at the mnemonic's column", CIRCUITS,
+           "j = len(values) + 1 if len(values) < n_args else 0",
+           "j = len(values) + 1 if len(values) < n_angles else 0",
+           ("tests/test_circuits.py::TestParser::test_index_out_of_range_has_position",)),
     Mutant("sa.T in fidelity", QMATH,
            "inner = sa @ b.matrix @ sa", "inner = sa @ b.matrix @ sa.T",
            (ORACLES + "test_fidelity_is_the_nuclear_norm_of_the_root_product",)),
@@ -104,9 +114,7 @@ MUTANTS = (
     Mutant("id-based start for a disconnected component", ZX,
            "start = min((n for n in d.nodes if n not in seen), key=key)",
            "start = min(n for n in d.nodes if n not in seen)",
-           (ORACLES + "test_evaluate_matches_scaled_circuit_unitary",),
-           "the tests' diagrams have at most one component that no boundary reaches,"
-           " a legless spider, so there is never a second start to choose"),
+           (ORACLES + "test_components_no_boundary_reaches_start_at_the_least_label",)),
     Mutant("legless spider halved", ZX,
            "return np.asarray(b + cmath.exp(1j * phase) * c)",
            "return np.asarray((b + cmath.exp(1j * phase) * c) / (2 if legs == 0 else 1))",
@@ -122,6 +130,9 @@ MUTANTS = (
            "    for e, k in tally.items():\n        only[k < 0].extend([e] * abs(k))\n",
            "    only = (list({*d.edges} - {*new.edges}), list({*new.edges} - {*d.edges}))\n",
            (ORACLES + "test_local_sides_match_counter_oracle",)),
+    Mutant("-0.0 cells of an array leaf written as 0.0", JSONIO,
+           'cells[i] = "-0.0" if', 'cells[i] = "0.0" if',
+           ("tests/test_jsonio.py::TestArrayLeaf::test_matches_list_path",)),
 )
 
 
@@ -140,7 +151,8 @@ def run_tests(copy: Path, tests) -> tuple[int, str]:
     """pytest's exit code on `tests` in `copy`, and the last line of its output."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-profile", "mutants", *tests],
         cwd=copy, env=env, capture_output=True, text=True)
     return proc.returncode, (proc.stdout + proc.stderr).strip().rpartition("\n")[2]
 
