@@ -1,3 +1,1 @@
 """Simulation lab for quantum information erasure experiments."""
-
-__version__ = "0.1.0"

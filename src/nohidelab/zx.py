@@ -833,7 +833,6 @@ def run_scripted_derivation() -> DerivationResult:
     spans: list[tuple[int, int]] = []
 
     def run_stage(index: int, label: str, body) -> None:
-        nonlocal d
         start = len(steps)
         try:
             body()

@@ -14,9 +14,14 @@ import nohidelab
 from nohidelab.qmath import DensityMatrix, StateVector
 
 DATA = Path(__file__).parent / "data"
+# Every property draws the same examples on every run, with no time limit;
+# tests set only max_examples.
+settings.register_profile("nohidelab", deadline=None, derandomize=True, database=None)
+settings.load_profile("nohidelab")
 # For tools/mutants.py: a mutant is killed by any falsifying example, so the
-# shrink phase, most of a kill's time, is skipped. Tier-1 keeps the default.
-settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+# shrink phase, most of a kill's time, is skipped. Tier-1 keeps all phases.
+settings.register_profile("mutants", parent=settings.get_profile("nohidelab"),
+                          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 # 5 gates at MAX_QUBITS: 2^19-column dots, and amplitudes across 127 row-batch joins.
 Q20_CIRCUIT = "qubits 20\nh 0\nu3 0.3 1.1 -0.7 1\ncx 0 19\nt 19\nh 10\n"
 

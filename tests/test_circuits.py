@@ -192,7 +192,7 @@ _PARSER_TEXT = st.one_of(st.text(), st.lists(st.sampled_from(_PARSER_TOKENS)).ma
                          _GATE_LINES)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_PARSER_TEXT)
 def test_parser_total_on_arbitrary_text(text):
     try:
@@ -211,7 +211,7 @@ def _outcome(parse, text: str):
         return str(exc), exc.line, exc.col
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_PARSER_TEXT)
 @example("qubits 3\n\tcx 1 1  # Gate's own error")
 @example("qubits 3\n u3 .5 nan 0 1")
@@ -258,7 +258,7 @@ def kernel_chains(draw):
     return tensor, list(zip(ops, steps))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(kernel_chains())
 def test_apply_op_is_bitwise_tensordot(case):
     # Later steps take the earlier steps' transposed outputs, as in a circuit.
@@ -313,7 +313,7 @@ def random_circuits(draw):
     return Circuit(n, tuple(gates))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(random_circuits())
 def test_circuit_unitary_is_bitwise_oracle(c):
     dim = 2 ** c.num_qubits

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -245,6 +246,16 @@ GOLDEN_ARGVS = {
 
 
 GOLDEN_BUILD = json.loads((DATA / "golden_build.json").read_text())
+
+
+def test_one_supported_build_is_stated_everywhere():
+    """pyproject.toml claims, and CI runs, the build the golden files were written on."""
+    root = DATA.parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == [f"numpy>={GOLDEN_BUILD['numpy']}"]
+    assert project["requires-python"] == ">=3.11"
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    assert re.findall(r"python-version:\s*(.+)", workflow) == ['"3.11"']
 
 
 @pytest.fixture(scope="module")

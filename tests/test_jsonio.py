@@ -79,7 +79,7 @@ class TestJsonText:
         payload = {"a": [1.5, {"b": 2.5}], "c": "d"}
         assert json_text(payload) == json_text(payload)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.recursive(
         st.none() | st.booleans() | st.integers() | JSON_TEXT,
         lambda inner: st.lists(inner, max_size=4)
@@ -146,7 +146,7 @@ class TestJsonText:
 class TestArrayLeaf:
     """A 2-D float64 array renders as its .tolist() does through the list path."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(hnp.arrays(
         np.float64,
         st.tuples(st.integers(0, 40), st.integers(0, 3)),

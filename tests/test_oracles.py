@@ -68,7 +68,7 @@ from oracles import (
 )
 from test_zx import planted_b2_diagram
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=100)
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 

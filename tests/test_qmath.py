@@ -139,6 +139,14 @@ class TestFidelity:
         with pytest.raises(ValueError, match="dimension mismatch"):
             fidelity(random_density(rng, 1), random_density(rng, 2))
 
+    def test_negative_eigenvalue_is_floored_in_the_root(self):
+        # A valid state with an eigenvalue of -1e-12: sqrt(a) zeroes it, so I/4,
+        # which weighs every eigenvector, gives the analytic value. sqrt(|w|)
+        # would add sqrt(1e-12 / 4) = 5e-7.
+        a = DensityMatrix(2, np.diag([0.6, 0.4 + 1e-12, -1e-12, 0.0]).astype(complex))
+        want = math.sqrt(0.6 / 4) + math.sqrt((0.4 + 1e-12) / 4)
+        assert fidelity(a, maximally_mixed(2)) == pytest.approx(want, abs=1e-12)
+
 
 def test_metrics_against_partially_bleached_states(rng):
     # mixing a pure state with I/2 at weight p sits at trace distance

@@ -11,6 +11,8 @@ from nohidelab.tomo import (
     estimate_expectations,
     exact_expectations,
     measure_shots,
+    pauli_matrix,
+    pauli_strings,
     project_physical,
     reconstruct,
     tomo_pipeline,
@@ -196,6 +198,20 @@ class TestReconstruct:
         assert raw.shape == (1, 2, 2)
         assert np.array_equal(raw[0], np.eye(2) / 2)
 
+    def test_bits_are_the_plain_sum_in_pauli_order(self, rng):
+        # Each e * P is exact (P's entries are 0, +-1, +-i) and dividing by 4 is
+        # exact, so the bits depend only on the order of the sum. Summed in
+        # reverse, some of these 200 points round differently.
+        expectations = {p: rng.uniform(-1.0, 1.0, 200) for p in pauli_strings(2)}
+        terms = [(expectations[p].tolist(), pauli_matrix(p).tolist()) for p in pauli_strings(2)]
+        want = np.zeros((200, 4, 4), dtype=complex)
+        for k, i, j in itertools.product(range(200), range(4), range(4)):
+            s = complex(i == j)
+            for e, m in terms:
+                s += e[k] * m[i][j]
+            want[k, i, j] = s / 4
+        assert reconstruct(expectations, 2).tobytes() == want.tobytes()
+
 
 class TestProjectPhysical:
     def test_physical_input_unchanged(self, rng):
@@ -224,6 +240,13 @@ class TestProjectPhysical:
         fixed = projected(np.diag([0.8, 0.5, -0.2, -0.1]).astype(complex))
         w, _ = qmath.hermitian_eig(fixed.matrix)
         assert np.abs(w - [0.65, 0.35, 0.0, 0.0]).max() < 1e-12
+
+    def test_projected_tomograms_equal_their_conjugate_transposes(self, rng):
+        # v diag v^H rounds its two triangles apart; the projection then
+        # averages it with its conjugate transpose, which is exact.
+        raws = reconstruct({p: rng.uniform(-1.0, 1.0, 200) for p in pauli_strings(2)}, 2)
+        for rho in project_physical(*qmath.hermitian_eig(raws, tol=1e-9)):
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T)
 
     def test_idempotent(self, rng):
         raw = np.diag([0.9, 0.4, -0.1, -0.2]).astype(complex)

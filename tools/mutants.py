@@ -37,9 +37,12 @@ class Mutant(NamedTuple):
     survives: str = ""  # why the tests cannot catch it; empty if they must
 
 
-CIRCUITS, QMATH, TOMO, NOHIDING, ZX, JSONIO = (
-    f"src/nohidelab/{m}.py" for m in ("circuits", "qmath", "tomo", "nohiding", "zx", "jsonio"))
+CIRCUITS, QMATH, TOMO, NOHIDING, ZX, JSONIO, CLI = (
+    f"src/nohidelab/{m}.py"
+    for m in ("circuits", "qmath", "tomo", "nohiding", "zx", "jsonio", "cli"))
 ORACLES = "tests/test_oracles.py::"
+TEST_JSONIO = "tests/test_jsonio.py::"
+REPLAY = ("tests/test_cli.py::TestZxCommand::test_trace_replay_round_trip",)
 GOLDEN = "tests/test_cli.py::test_run_matches_golden_bytes[perfect_golden_{}.json]"
 RANDOMIZER = ("tests/test_nohiding.py::TestRandomizer::"
               "test_variant_rejects_a_matrix_that_is_not_a_controlled_pauli",)
@@ -53,6 +56,12 @@ MUTANTS = (
            "out = np.dot(op, moved.reshape(len(op), -1))",
            'out = np.einsum("ij,jk->ik", op, moved.reshape(len(op), -1))',
            ("tests/test_circuits.py::test_apply_op_is_bitwise_tensordot",)),
+    Mutant("einsum in the gate dot at 2^19 columns or more", CIRCUITS,
+           "out = np.dot(op, moved.reshape(len(op), -1))",
+           'out = (np.einsum("ij,jk->ik", op, flat) if (flat := moved.reshape(len(op), -1))'
+           ".shape[1] >= 2 ** 19 else np.dot(op, flat))",
+           ("tests/test_circuits.py::"
+            "test_run_statevector_is_bitwise_tensordot_at_20_qubits[stack-of-3]",)),
     Mutant("Fortran-ordered operator in the gate dot", CIRCUITS,
            "out = np.dot(op, moved.reshape(len(op), -1))",
            "out = np.dot(np.asfortranarray(op), moved.reshape(len(op), -1))",
@@ -67,10 +76,16 @@ MUTANTS = (
     Mutant("sa.T in fidelity", QMATH,
            "inner = sa @ b.matrix @ sa", "inner = sa @ b.matrix @ sa.T",
            (ORACLES + "test_fidelity_is_the_nuclear_norm_of_the_root_product",)),
-    # Within 1e-12 of the nuclear norm, but not the bits the goldens hold.
+    Mutant("math.sqrt in _norm", QMATH,
+           "return np.sqrt(re.dot(re) + im.dot(im))", "return math.sqrt(re.dot(re) + im.dot(im))",
+           (ORACLES + "test_proportionality_matches_linalg_norm_oracle_bitwise",)),
+    Mutant("np.sqrt(np.vdot(v, v).real) in _norm", QMATH,
+           "return np.sqrt(re.dot(re) + im.dot(im))", "return np.sqrt(np.vdot(v, v).real)",
+           (ORACLES + "test_proportionality_matches_linalg_norm_oracle_bitwise",)),
     Mutant("sqrt(|w|) for the SQRT_FLOOR floor in fidelity", QMATH,
            "np.diag(np.sqrt(np.where(w < SQRT_FLOOR, 0.0, w)))", "np.diag(np.sqrt(np.abs(w)))",
-           (GOLDEN.format("eq2"), GOLDEN.format("eq6_sparse"))),
+           ("tests/test_qmath.py::TestFidelity::test_negative_eigenvalue_is_floored_in_the_root",
+            GOLDEN.format("eq2"), GOLDEN.format("eq6_sparse"))),
     Mutant("density trace checked on the first member only", QMATH,
            "for tr in traces:", "for tr in traces[:1]:",
            ("tests/test_qmath.py::TestStateTypes::"
@@ -86,7 +101,8 @@ MUTANTS = (
     Mutant("Paulis summed in reverse in reconstruct", TOMO,
            "    for pauli in pauli_strings(num_qubits):\n        if pauli not in",
            "    for pauli in reversed(pauli_strings(num_qubits)):\n        if pauli not in",
-           (GOLDEN.format("eq6_sparse"),)),
+           ("tests/test_tomo.py::TestReconstruct::test_bits_are_the_plain_sum_in_pauli_order",
+            GOLDEN.format("eq6_sparse"))),
     Mutant("projection shift divided by kept + 1", TOMO,
            "kept - 1] / kept", "kept - 1] / (kept + 1)",
            (ORACLES + "test_linear_inversion_and_simplex_projection",)),
@@ -97,7 +113,9 @@ MUTANTS = (
            " values in exact arithmetic"),
     Mutant("projection without symmetrisation", TOMO,
            "    fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0\n", "",
-           tuple(GOLDEN.format(g) for g in ("eq2", "eq6_sparse", "eq1_exact"))),
+           ("tests/test_tomo.py::TestProjectPhysical::"
+            "test_projected_tomograms_equal_their_conjugate_transposes",
+            *(GOLDEN.format(g) for g in ("eq2", "eq6_sparse", "eq1_exact")))),
     Mutant("every state of a stack sampled on the same seed", TOMO,
            "basis, shots, seed + i)", "basis, shots, seed)",
            (ORACLES + "test_stacked_tomography_matches_stacks_of_one_bitwise",)),
@@ -130,9 +148,34 @@ MUTANTS = (
            "    for e, k in tally.items():\n        only[k < 0].extend([e] * abs(k))\n",
            "    only = (list({*d.edges} - {*new.edges}), list({*new.edges} - {*d.edges}))\n",
            (ORACLES + "test_local_sides_match_counter_oracle",)),
+    Mutant("recorded rewrite scalar times 1 + 1e-11", ZX,
+           "return proportionality(evaluate(after), evaluate(before))",
+           "return (s := proportionality(evaluate(after), evaluate(before))) and s * (1 + 1e-11)",
+           REPLAY),
+    Mutant("replay_trace drops the last step", ZX,
+           "    for step in steps:\n        d = apply_rule(d, step.rule, step.location)",
+           "    for step in list(steps)[:-1]:\n        d = apply_rule(d, step.rule, step.location)",
+           REPLAY),
+    Mutant("zx echoes the clock as its seed", CLI,
+           '"command": "zx",\n        "seed": args.seed,',
+           '"command": "zx",\n        "seed": __import__("time").monotonic_ns(),',
+           ("tests/test_acceptance.py::test_criterion_10_cli_determinism",)),
+    Mutant("strings quoted by json.dumps(ensure_ascii=False)", JSONIO,
+           "        return encode_basestring_ascii(value)\n",
+           "        return json.dumps(value, ensure_ascii=False)\n",
+           (TEST_JSONIO + "TestJsonText::test_layout_matches_json_dumps_indent_2",)),
+    Mutant("keys quoted without str()", JSONIO,
+           "encode_basestring_ascii(str(key))", "encode_basestring_ascii(key)",
+           (TEST_JSONIO + "TestJsonText::test_subclasses_render_as_their_base_types",)),
+    Mutant("temp file left behind when a write fails", JSONIO,
+           "            os.unlink(tmp)\n", "            pass\n",
+           ("tests/test_cli.py::test_failed_temp_write_exits_1_without_output",)),
+    Mutant(".16g in place of .17g for array cells", JSONIO,
+           'cells[i] = format(x, ".17g")', 'cells[i] = format(x, ".16g")',
+           (TEST_JSONIO + "TestArrayLeaf::test_matches_list_path",)),
     Mutant("-0.0 cells of an array leaf written as 0.0", JSONIO,
            'cells[i] = "-0.0" if', 'cells[i] = "0.0" if',
-           ("tests/test_jsonio.py::TestArrayLeaf::test_matches_list_path",)),
+           (TEST_JSONIO + "TestArrayLeaf::test_matches_list_path",)),
 )
 
 
