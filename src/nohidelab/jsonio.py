@@ -33,8 +33,9 @@ def format_float(x: float) -> str:
 
 
 def _render(value, indent: int) -> str:
-    # Most values are floats, exact ints, strs and dicts: test them first.
-    # A string is quoted by the function json.dumps quotes it with.
+    # Most values are floats, exact ints, strs, dicts and lists: test them
+    # first, and an exact list without the slower Mapping test. A string is
+    # quoted by the function json.dumps quotes it with.
     if isinstance(value, float):
         return format_float(value)
     kind = type(value)
@@ -42,7 +43,7 @@ def _render(value, indent: int) -> str:
         return str(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if kind is dict or isinstance(value, Mapping):
+    if kind is not list and (kind is dict or isinstance(value, Mapping)):
         if not value:
             return "{}"
         pad = "\n" + "  " * (indent + 1)
@@ -53,7 +54,9 @@ def _render(value, indent: int) -> str:
         if not value:
             return "[]"
         pad = "\n" + "  " * (indent + 1)
-        items = [_render(item, indent + 1) for item in value]
+        # an exact int, as in every id list, is rendered without a call
+        items = [str(item) if type(item) is int else _render(item, indent + 1)
+                 for item in value]
         return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
@@ -123,9 +126,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        umask = os.umask(0o022)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+            umask = os.umask(0o022)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

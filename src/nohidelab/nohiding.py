@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +37,11 @@ from .qmath import (
     kron,
     partial_trace,
 )
-from .tomo import TomoResult, tomo_pipeline
+
+# Only run_perfect and run_sweep tomograph, and each imports tomo when it
+# runs: `zx`, which needs build_randomizer alone, never compiles tomo.py.
+if TYPE_CHECKING:
+    from .tomo import TomoResult
 
 VARIANT_TAGS = ("eq1", "eq2", "eq6")
 
@@ -195,6 +199,8 @@ def run_perfect(
     seed: int = 0,
 ) -> PerfectResult:
     """Run the full recovery circuit and measure both decode products."""
+    from .tomo import tomo_pipeline
+
     variant = build_randomizer(tag)
     if psi is None:
         psi = default_input_state()
@@ -288,6 +294,8 @@ def run_sweep(
     points as one stack. `build_imperfect_circuit(p)` is the per-point
     circuit this reproduces.
     """
+    from .tomo import tomo_pipeline
+
     p_values = [float(p) + 0.0 for p in p_values]  # -0.0 + 0.0 is +0.0: one zero point
     dilutions = [_dilution_gate(p) for p in p_values]
     if not dilutions:

@@ -18,6 +18,14 @@ onto every leg), B2 bialgebra (complete bipartite Z/X square collapses to
 one Z-X pair), HH cancellation of adjacent H boxes. Self-loops are never
 stored; a rewrite that would create one drops it on the spot, which is
 exact for spiders under the normalization above.
+
+Each rewrite is verified by contracting both sides of the region it
+changed. Rewrites of one lineage share those contractions: a diagram built
+from another by a rewrite or plug_state shares its table of verified local
+equations, and any other diagram starts an empty one. The table is keyed
+exactly, by each side's node kinds and phase bits and its edges and
+boundaries by id rank, so each recorded scalar is still the contraction of
+its own region. It keeps matrices only for sides of at most 8 open legs.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ import cmath
 import itertools
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
@@ -32,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .qmath import HADAMARD, kron, proportionality
+from .qmath import HADAMARD, proportionality
 
 SPIDER_KINDS = ("Z", "X")
 RULES = ("S1", "S2", "C", "B2", "HH")
@@ -72,15 +81,17 @@ class ZXDiagram:
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
     _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    # Verified local equations of this diagram's rewrite lineage: region side
+    # key -> its matrix, (before key, after key) -> the rewrite scalar.
+    # _Builder(d).build() shares d's table; any other construction starts one.
+    _verified: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        loops = [a for a, b in self.edges if a == b]
+        if loops:
+            raise ValueError(f"self-loop on node {loops[0]} is forbidden")
+        edges = sorted([(a, b) if a < b else (b, a) for a, b in self.edges])
         nodes = dict(self.nodes)
-        edges = []
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop on node {a} is forbidden")
-            edges.append((a, b) if a <= b else (b, a))
-        edges.sort()
         inputs, outputs = tuple(self.inputs), tuple(self.outputs)
 
         # Neighbour lists in sorted-edge order, built once: the diagram is frozen.
@@ -91,14 +102,15 @@ class ZXDiagram:
                 adj[b].append(a)
         except KeyError as exc:
             raise ValueError(f"edge references missing node {exc.args[0]}") from None
-        for name, value in zip(("nodes", "edges", "inputs", "outputs", "_adj"),
-                               (nodes, tuple(edges), inputs, outputs, adj)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(nodes=nodes, edges=tuple(edges), inputs=inputs, outputs=outputs,
+                             _adj=adj, _verified={})
         boundary_ids = {*inputs, *outputs}
         if len(inputs) + len(outputs) != len(boundary_ids):
             raise ValueError("a boundary node may appear only once")
         for nid, node in nodes.items():
             kind = node.kind
+            if kind == "Z" or kind == "X":
+                continue
             if kind == "in" or kind == "out":
                 if nid not in boundary_ids:
                     raise ValueError(f"boundary node {nid} missing from inputs/outputs")
@@ -107,7 +119,7 @@ class ZXDiagram:
             elif kind == "H":
                 if len(adj[nid]) != 2:
                     raise ValueError(f"H box {nid} must have degree 2, has {len(adj[nid])}")
-            elif kind != "Z" and kind != "X":
+            else:
                 raise ValueError(f"unknown node kind {kind!r}")
         for what, kind, ids in (("input", "in", inputs), ("output", "out", outputs)):
             for nid in ids:
@@ -147,7 +159,8 @@ def _norm_phase(phase: complex) -> complex:
 
 
 class _Builder:
-    """Mutable scratch copy of a diagram; build() re-validates."""
+    """Mutable scratch copy of a diagram; build() re-validates. A diagram
+    built from a copy of `d` continues d's lineage: it shares d's table."""
 
     def __init__(self, d: ZXDiagram | None = None):
         if d is None:
@@ -155,11 +168,13 @@ class _Builder:
             self.edges: list[tuple[int, int]] = []
             self.inputs: list[int] = []
             self.outputs: list[int] = []
+            self.verified = None
         else:
             self.nodes = dict(d.nodes)
             self.edges = list(d.edges)
             self.inputs = list(d.inputs)
             self.outputs = list(d.outputs)
+            self.verified = d._verified
         self._next = max(self.nodes) + 1 if self.nodes else 0
 
     def add_node(self, kind: str, phase: complex = 0j) -> int:
@@ -183,8 +198,15 @@ class _Builder:
         self.edges.remove(key)
 
     def remove_node_edges(self, nid: int) -> list[int]:
-        others = [b if a == nid else a for a, b in self.edges if nid in (a, b)]
-        self.edges = [e for e in self.edges if nid not in e]
+        """Drop nid's edges in one pass; their other ends, in edge order."""
+        kept: list[tuple[int, int]] = []
+        others: list[int] = []
+        for e in self.edges:
+            if nid in e:
+                others.append(e[e[0] == nid])
+            else:
+                kept.append(e)
+        self.edges = kept
         return others
 
     def remove_node(self, nid: int) -> None:
@@ -192,7 +214,10 @@ class _Builder:
         del self.nodes[nid]
 
     def build(self) -> ZXDiagram:
-        return ZXDiagram(self.nodes, tuple(self.edges), tuple(self.inputs), tuple(self.outputs))
+        d = ZXDiagram(self.nodes, tuple(self.edges), tuple(self.inputs), tuple(self.outputs))
+        if self.verified is not None:
+            object.__setattr__(d, "_verified", self.verified)
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +292,17 @@ def _rank(keys: dict) -> tuple[dict[int, int], int]:
 def _canonical_order(d: ZXDiagram) -> list[int]:
     # Refined labels make the order a function of the graph alone (not of
     # node ids), so relabeled diagrams contract identically bit for bit.
-    # Colour refinement on integer ranks: each round ranks (own label,
-    # sorted neighbour labels) until the number of classes stops growing,
-    # which it cannot once every node is a class of its own.
-    seeds = {nid: f"in{i}" for i, nid in enumerate(d.inputs)}
-    seeds.update({nid: f"out{i}" for i, nid in enumerate(d.outputs)})
+    # Colour refinement: each round ranks (own label, sorted neighbour
+    # labels) until the number of classes stops growing, which it cannot
+    # once every node is a class of its own. Ranks order nodes as the seed
+    # strings do, so seeds that are already distinct serve as the labels.
+    labels = {nid: f"in{i}" for i, nid in enumerate(d.inputs)}
+    labels.update({nid: f"out{i}" for i, nid in enumerate(d.outputs)})
     for nid, node in d.nodes.items():
-        if nid not in seeds:
+        if nid not in labels:
             phase = node.phase
-            seeds[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
-    labels, classes = _rank(seeds)
+            labels[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
+    classes = len(set(labels.values()))
     while classes < len(labels):
         labels, grown = _rank({nid: (label, tuple(sorted(map(labels.__getitem__, d._adj[nid]))))
                                for nid, label in labels.items()})
@@ -463,11 +489,10 @@ def match_rule(d: ZXDiagram, rule: str) -> list[tuple]:
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     if rule in _PAIR_KINDS:
-        kinds = _PAIR_KINDS[rule]
-        # edges are sorted, so a multi-edge's copies are adjacent
-        candidates = [(a, b) for i, (a, b) in enumerate(d.edges)
-                      if d.nodes[a].kind in kinds and d.nodes[b].kind == d.nodes[a].kind
-                      and (i == 0 or d.edges[i - 1] != (a, b))]
+        kinds, nodes = _PAIR_KINDS[rule], d.nodes
+        # each edge once, a multi-edge at its first copy, in edge order
+        candidates = [(a, b) for a, b in dict.fromkeys(d.edges)
+                      if nodes[a].kind in kinds and nodes[b].kind == nodes[a].kind]
     elif rule == "B2":
         zs, xs = ([n for n in d.spiders() if d.nodes[n].kind == kind and d.degree(n) == 3]
                   for kind in SPIDER_KINDS)
@@ -618,8 +643,10 @@ def _location_from_json(location):
     return tuple(out)
 
 
-def _local_sides(d: ZXDiagram, new: ZXDiagram) -> tuple[ZXDiagram, ZXDiagram]:
-    """The region a rewrite changed, cut out of each side as a small diagram.
+def _region(d: ZXDiagram, new: ZXDiagram) -> tuple[set[int], list[int], list[list]]:
+    """The region a rewrite changed, as plain data: its node set, the context
+    nodes its open legs end at in id order, and per side (d, then new) the
+    context-to-context edges that differ.
 
     The region holds every node that is absent on one side, whose ZXNode
     differs, or whose place among the inputs/outputs moved. Each edge from it
@@ -641,44 +668,101 @@ def _local_sides(d: ZXDiagram, new: ZXDiagram) -> tuple[ZXDiagram, ZXDiagram]:
     region.update(new.nodes.keys() - d.nodes.keys())
     # One signed tally per edge: copies only in d count up, only in new down.
     tally: dict[tuple[int, int], int] = {}
-    for sign, x in ((1, d), (-1, new)):
-        for e in x.edges:
-            tally[e] = tally.get(e, 0) + sign
+    for e in d.edges:
+        tally[e] = tally.get(e, 0) + 1
+    for e in new.edges:
+        tally[e] = tally.get(e, 0) - 1
     only: tuple[list, list] = ([], [])
     for e, k in tally.items():
-        only[k < 0].extend([e] * abs(k))
+        if k:
+            only[k < 0].extend([e] * abs(k))
     while True:
         wires = [[e for e in diff if region.isdisjoint(e)] for diff in only]
-        legs: list[dict[int, int]] = [{}, {}]
-        for x, wire, leg in zip(sides, wires, legs):
-            ends = [c for e in wire for c in e]
-            ends += [m for n in region for m in x._adj.get(n, ()) if m not in region]
-            for c in ends:
-                leg[c] = leg.get(c, 0) + 1
-        grow = {c for c in legs[0].keys() | legs[1].keys()
-                if legs[0].get(c, 0) != legs[1].get(c, 0) or legs[0][c] > 1}
-        if not grow:
-            break
-        region |= grow
+        # each side's leg ends, one entry per leg, in id order
+        ends = [sorted([c for e in wire for c in e]
+                       + [m for n in region for m in x._adj.get(n, ()) if m not in region])
+                for x, wire in zip(sides, wires)]
+        if ends[0] == ends[1] and len(set(ends[0])) == len(ends[0]):
+            return region, ends[0], wires
+        legs = [Counter(side) for side in ends]
+        region |= {c for c in legs[0].keys() | legs[1].keys()
+                   if legs[0][c] != legs[1][c] or legs[0][c] > 1}
 
-    out = {c: o for o, c in enumerate(sorted(legs[0]), max([-1, *d.nodes, *new.nodes]) + 1)}
-    leg_end = ZXNode("out")
 
-    def cut(x: ZXDiagram, wire: list) -> ZXDiagram:
-        nodes = {n: x.nodes[n] for n in region if n in x.nodes}
-        edges = [(n, out.get(m, m)) for n in nodes for m in x._adj[n] if n < m or m not in region]
-        edges += [(out[a], out[b]) for a, b in wire]
-        nodes.update(dict.fromkeys(out.values(), leg_end))
-        return ZXDiagram(nodes, tuple(edges), tuple([n for n in x.inputs if n in region]),
-                         (*out.values(), *[n for n in x.outputs if n in region]))
+def _side_key(x: ZXDiagram, region: set[int], context: list[int], wire: list) -> tuple:
+    """An exact key of the cut of x that _cut builds: its region nodes in id
+    order by kind and phase bits, its number of open legs, and its edges,
+    inputs and region outputs by id rank (the open legs rank after the
+    region nodes, in context order). Equal keys mean two cuts differ only
+    by an order-preserving relabelling, which evaluate cannot see
+    (_canonical_order breaks ties by id alone): they contract to the same
+    bits."""
+    ids = sorted([n for n in region if n in x.nodes])
+    rank = {n: r for r, n in enumerate(ids)}
+    for r, c in enumerate(context, len(ids)):
+        rank[c] = r
+    adj, nodes, kinds = x._adj, x.nodes, []
+    edges = [(rank[n], rank[m]) for n in ids for m in adj[n] if n < m or m not in region]
+    edges += [(rank[a], rank[b]) for a, b in wire]
+    edges.sort()
+    for n in ids:
+        node = nodes[n]
+        phase = complex(node.phase)
+        kinds.append((node.kind, phase.real.hex(), phase.imag.hex()))
+    return (tuple(kinds), len(context), tuple(edges),
+            tuple([rank[n] for n in x.inputs if n in region]),
+            tuple([rank[n] for n in x.outputs if n in region]))
 
-    return cut(d, wires[0]), cut(new, wires[1])
+
+_LEG_END = ZXNode("out")
+
+
+def _cut(x: ZXDiagram, region: set[int], out: dict[int, int], wire: list) -> ZXDiagram:
+    """One side of the region as a diagram: the open leg at context node c
+    is the output node out[c], and the region's own boundaries follow."""
+    nodes = {n: x.nodes[n] for n in region if n in x.nodes}
+    edges = [(n, out.get(m, m)) for n in nodes for m in x._adj[n] if n < m or m not in region]
+    edges += [(out[a], out[b]) for a, b in wire]
+    nodes.update(dict.fromkeys(out.values(), _LEG_END))
+    return ZXDiagram(nodes, tuple(edges), tuple([n for n in x.inputs if n in region]),
+                     (*out.values(), *[n for n in x.outputs if n in region]))
+
+
+def _leg_ids(d: ZXDiagram, new: ZXDiagram, context: list[int]) -> dict[int, int]:
+    first = max(max(d.nodes, default=-1), max(new.nodes, default=-1)) + 1
+    return dict(zip(context, itertools.count(first)))
+
+
+def _local_sides(d: ZXDiagram, new: ZXDiagram) -> tuple[ZXDiagram, ZXDiagram]:
+    """The region a rewrite changed (see _region), cut out of each side."""
+    region, context, wires = _region(d, new)
+    out = _leg_ids(d, new, context)
+    return _cut(d, region, out, wires[0]), _cut(new, region, out, wires[1])
 
 
 def _local_scalar(d: ZXDiagram, new: ZXDiagram) -> complex | None:
-    """proportionality(new, d), measured on the region that differs."""
-    before, after = _local_sides(d, new)
-    return proportionality(evaluate(after), evaluate(before))
+    """proportionality(new, d), measured on the region that differs, or read
+    from d's lineage table when that region pair was verified before. A
+    side's matrix, too, is looked up before its cut is contracted."""
+    region, context, wires = _region(d, new)
+    keys = (_side_key(d, region, context, wires[0]), _side_key(new, region, context, wires[1]))
+    table = d._verified
+    try:
+        return table[keys]
+    except KeyError:
+        pass
+    out, matrices = _leg_ids(d, new, context), []
+    for key, x, wire in zip(keys, (d, new), wires):
+        matrix = table.get(key)
+        if matrix is None:
+            cut = _cut(x, region, out, wire)
+            matrix = evaluate(cut)
+            if len(cut.inputs) + len(cut.outputs) <= _CACHED_LEGS:
+                matrix.flags.writeable = False
+                table[key] = matrix
+        matrices.append(matrix)
+    table[keys] = scalar = proportionality(matrices[1], matrices[0])
+    return scalar
 
 
 def apply_rule_checked(d: ZXDiagram, rule: str, location) -> tuple[ZXDiagram, RewriteStep]:
@@ -798,9 +882,9 @@ def _derivation_target() -> np.ndarray:
     # applied to |psi>|00> after the ancilla Hadamards
     from .nohiding import build_randomizer
 
-    prep = kron(np.eye(2, dtype=complex), kron(HADAMARD, HADAMARD))
-    full = build_randomizer("eq1").matrix @ prep
-    return full[:, [0, 4]]
+    # columns |0>|++> and |1>|++> of the map: its two 4-column blocks times |++>
+    plus = HADAMARD[:, 0]
+    return build_randomizer("eq1").matrix.reshape(8, 2, 4) @ np.outer(plus, plus).ravel()
 
 
 @dataclass(frozen=True)

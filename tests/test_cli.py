@@ -323,7 +323,8 @@ _SUBCOMMAND_MODULES = ("nohidelab.zx", "nohidelab.nohiding", "nohidelab.tomo")
     (["simulate", "{tmp}/bell.circ"], _SUBCOMMAND_MODULES + ("numpy.random",)),
     (["perfect", "--shots", "64"], ("nohidelab.zx",)),
     (["imperfect", "--grid", "none", "--p", "0.5", "--shots", "64"], ("nohidelab.zx",)),
-], ids=["import", "simulate", "perfect", "imperfect"])
+    (["zx"], ("nohidelab.tomo", "numpy.random")),
+], ids=["import", "simulate", "perfect", "imperfect", "zx"])
 def test_subcommand_loads_only_its_modules(argv, absent, tmp_path):
     # A fresh interpreter, since this one has imported every module already.
     (tmp_path / "bell.circ").write_text("qubits 2\nh 0\ncx 0 1\n")

@@ -542,6 +542,73 @@ def final_diagram_isomorphic(d: ZXDiagram) -> bool:
     return False
 
 
+def relabelled(d: ZXDiagram) -> tuple:
+    """d with its node ids replaced by their ranks, as a hashable value."""
+    ids = sorted(d.nodes)
+    rank = {n: r for r, n in enumerate(ids)}
+    return (tuple((d.nodes[n].kind, repr(complex(d.nodes[n].phase))) for n in ids),
+            tuple((rank[a], rank[b]) for a, b in d.edges),
+            tuple(map(rank.__getitem__, d.inputs)), tuple(map(rank.__getitem__, d.outputs)))
+
+
+class TestLineageTable:
+    """Rewrites of one lineage share verified region contractions."""
+
+    @staticmethod
+    def h_wire(boxes: int) -> ZXDiagram:
+        return circuit_to_zx(Circuit(1, (Gate("h", (0,)),) * boxes))
+
+    def test_a_repeated_region_pair_is_contracted_once_per_lineage(self, monkeypatch):
+        # HH on the first pair of four H boxes, then on the second pair: the
+        # same region up to an order-preserving relabelling.
+        started = count_contractions(monkeypatch)
+        d = self.h_wire(4)
+        d, first = apply_rule_checked(d, "HH", match_rule(d, "HH")[0])
+        assert len(started) == 2
+        d, second = apply_rule_checked(d, "HH", match_rule(d, "HH")[0])
+        assert len(started) == 2
+        assert second.scalar_check == first.scalar_check
+
+    def test_separately_built_copies_share_no_table(self, monkeypatch):
+        started = count_contractions(monkeypatch)
+        for d in (self.h_wire(2), self.h_wire(2)):
+            apply_rule_checked(d, "HH", match_rule(d, "HH")[0])
+        assert len(started) == 4
+
+    def test_phases_equal_to_nine_digits_are_separate_entries(self):
+        # Two identity spiders whose phases print alike to 9 digits but
+        # differ in bits: removing each scales by (1 + e^{-ip})/2, so the
+        # two scalars differ, and each is its own region's contraction.
+        phases = (1e-10, 1.0000000001e-10)
+        assert phases[0] != phases[1] and f"{phases[0]:.9e}" == f"{phases[1]:.9e}"
+        d = ZXDiagram({0: ZXNode("in"), 1: ZXNode("in"), 2: ZXNode("Z", phases[0]),
+                       3: ZXNode("Z", phases[1]), 4: ZXNode("out"), 5: ZXNode("out")},
+                      ((0, 2), (2, 4), (1, 3), (3, 5)), (0, 1), (4, 5))
+        scalars = []
+        for nid in (2, 3):
+            new, step = apply_rule_checked(d, "S2", (nid,))
+            before, after = zx._local_sides(d, new)
+            fresh = proportionality(evaluate(after), evaluate(before))
+            assert (step.scalar_check.real.hex(), step.scalar_check.imag.hex()) == (
+                fresh.real.hex(), fresh.imag.hex())
+            scalars.append(step.scalar_check)
+            d = new
+        assert scalars[0] != scalars[1]
+
+    @pytest.mark.parametrize("legs, kept", [(4, 2), (5, 0)])
+    def test_matrices_are_kept_for_sides_of_at_most_8_legs(self, legs, kept):
+        # Fusing two Z spiders with `legs` outputs each: both sides of the
+        # region have 2 * legs open legs.
+        outs = range(2, 2 + 2 * legs)
+        d = ZXDiagram({0: ZXNode("Z"), 1: ZXNode("Z"), **{n: ZXNode("out") for n in outs}},
+                      ((0, 1), *((n % 2, n) for n in outs)), (), tuple(outs))
+        new, step = apply_rule_checked(d, "S1", (0, 1))
+        matrices = [v for v in d._verified.values() if isinstance(v, np.ndarray)]
+        scalars = [v for v in d._verified.values() if not isinstance(v, np.ndarray)]
+        assert new._verified is d._verified
+        assert (len(matrices), scalars) == (kept, [step.scalar_check])
+
+
 class TestScriptedDerivation:
     def test_initial_diagram_matches_bleaching_map(self):
         d = zx.derivation_diagram()
@@ -582,24 +649,31 @@ class TestScriptedDerivation:
     def test_only_initial_and_final_are_contracted_whole(self, monkeypatch):
         # Two whole diagrams in the derivation (initial against the target,
         # final against initial); every other contraction is one side of the
-        # region a step changed, two per step for its 14 steps and for the 9
-        # of simplify restarted from the initial diagram.
+        # region a step changed. The 14 steps and the 9 of simplify, which
+        # continues the derivation's lineage from its initial diagram, cut
+        # 46 region sides, only 17 of them distinct: each is contracted once
+        # in the lineage, and each of the 12 distinct region pairs is
+        # compared once.
         started = count_contractions(monkeypatch)
-        local = []
-        local_sides = zx._local_sides
+        compared, rewrites = [], []
+        local_scalar = zx._local_scalar
 
         def recorded(d, new):
-            local.extend(local_sides(d, new))
-            return local[-2:]
+            rewrites.append((d, new))
+            return local_scalar(d, new)
 
-        monkeypatch.setattr(zx, "_local_sides", recorded)
+        monkeypatch.setattr(zx, "_local_scalar", recorded)
+        monkeypatch.setattr(zx, "proportionality",
+                            lambda a, b: compared.append(a) or proportionality(a, b))
         result = run_scripted_derivation()
         simplify(result.initial)
-        assert len(started) == 48
+        assert (len(started), len(compared), len(rewrites)) == (19, 14, 23)
         whole = [d for d in started if d is result.initial or d is result.final]
+        local = [d for d in started if d is not result.initial and d is not result.final]
         assert len(whole) == 2
-        assert {id(d) for d in started} - {id(d) for d in whole} == {id(d) for d in local}
-        assert len(local) == 46
+        cuts = [cut for d, new in rewrites for cut in zx._local_sides(d, new)]
+        assert all(any(d == cut for cut in cuts) for d in local)
+        assert len({relabelled(cut) for cut in cuts}) == len({relabelled(d) for d in local}) == 17
         assert max(len(d.inputs) + len(d.outputs) for d in local) == 4
 
     def test_steps_helper_returns_flat_list(self):

@@ -43,6 +43,7 @@ CIRCUITS, QMATH, TOMO, NOHIDING, ZX, JSONIO, CLI = (
 ORACLES = "tests/test_oracles.py::"
 TEST_JSONIO = "tests/test_jsonio.py::"
 REPLAY = ("tests/test_cli.py::TestZxCommand::test_trace_replay_round_trip",)
+LINEAGE = "tests/test_zx.py::TestLineageTable::"
 GOLDEN = "tests/test_cli.py::test_run_matches_golden_bytes[perfect_golden_{}.json]"
 RANDOMIZER = ("tests/test_nohiding.py::TestRandomizer::"
               "test_variant_rejects_a_matrix_that_is_not_a_controlled_pauli",)
@@ -145,13 +146,20 @@ MUTANTS = (
            "if counterpart(n) is not node",
            (ORACLES + "test_local_sides_match_counter_oracle",)),
     Mutant("set difference in place of the edge tally", ZX,
-           "    for e, k in tally.items():\n        only[k < 0].extend([e] * abs(k))\n",
+           "    for e, k in tally.items():\n        if k:\n            only[k < 0].extend([e] * abs(k))\n",
            "    only = (list({*d.edges} - {*new.edges}), list({*new.edges} - {*d.edges}))\n",
            (ORACLES + "test_local_sides_match_counter_oracle",)),
     Mutant("recorded rewrite scalar times 1 + 1e-11", ZX,
-           "return proportionality(evaluate(after), evaluate(before))",
-           "return (s := proportionality(evaluate(after), evaluate(before))) and s * (1 + 1e-11)",
+           "scalar = proportionality(matrices[1], matrices[0])",
+           "scalar = (s := proportionality(matrices[1], matrices[0])) and s * (1 + 1e-11)",
            REPLAY),
+    Mutant("table keyed on the 9-digit seed label", ZX,
+           "kinds.append((node.kind, phase.real.hex(), phase.imag.hex()))",
+           'kinds.append(f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}")',
+           (LINEAGE + "test_phases_equal_to_nine_digits_are_separate_entries",)),
+    Mutant("one table for every diagram", ZX,
+           "_adj=adj, _verified={})", '_adj=adj, _verified=globals().setdefault("_one_table", {}))',
+           (LINEAGE + "test_separately_built_copies_share_no_table",)),
     Mutant("replay_trace drops the last step", ZX,
            "    for step in steps:\n        d = apply_rule(d, step.rule, step.location)",
            "    for step in list(steps)[:-1]:\n        d = apply_rule(d, step.rule, step.location)",
