@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
@@ -116,19 +117,24 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place.
 
-    The file gets the mode a plain open(path, "w") would give it under the
-    current umask, not the 0600 of mkstemp.
+    The file gets the mode a plain open(path, "w") would give it, not the
+    0600 of mkstemp: an existing file keeps its mode, and a new one gets
+    0666 under the current umask.
     """
     path = Path(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # the umask can only be read by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     # At most 60 characters of the name (240 bytes in UTF-8), 8 random ones
     # and ".tmp": the temp name fits NAME_MAX (255 bytes) for any target.
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name[:60], suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-            umask = os.umask(0o022)  # the umask can only be read by setting it
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            os.fchmod(handle.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         try:

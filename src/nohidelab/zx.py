@@ -20,12 +20,13 @@ stored; a rewrite that would create one drops it on the spot, which is
 exact for spiders under the normalization above.
 
 Each rewrite is verified by contracting both sides of the region it
-changed. Rewrites of one lineage share those contractions: a diagram built
-from another by a rewrite or plug_state shares its table of verified local
-equations, and any other diagram starts an empty one. The table is keyed
-exactly, by each side's node kinds and phase bits and its edges and
-boundaries by id rank, so each recorded scalar is still the contraction of
-its own region. It keeps matrices only for sides of at most 8 open legs.
+changed, each from its exact form: its nodes, edges and boundaries with
+every id replaced by its rank. Rewrites of one lineage share those
+contractions: a diagram built from another by a rewrite or plug_state
+shares its table of verified local equations, and any other diagram starts
+an empty one. The table is keyed by the forms that get contracted, so each
+recorded scalar is still the contraction of its own region. It keeps
+matrices only for sides of at most 8 open legs.
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ SPIDER_KINDS = ("Z", "X")
 RULES = ("S1", "S2", "C", "B2", "HH")
 
 # Brute-force contraction budget in axes of dimension 2, for the open legs,
-# each node's legs and the live axes of each fold step alike: no array
-# evaluate builds exceeds 2^24 complex entries (256 MiB), and an einsum call
+# each node's legs and the live axes of each fold step alike: no array a
+# contraction builds exceeds 2^24 complex entries (256 MiB), and an einsum call
 # sees at most 48 labels, under numpy's 52. The derivation's widest step has 12.
 MAX_EVAL_AXES = 24
 
@@ -284,50 +285,83 @@ def plug_state(d: ZXDiagram, input_position: int, kind: str = "X",
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _rank(keys: dict) -> tuple[dict[int, int], int]:
-    index = {key: r for r, key in enumerate(sorted(set(keys.values())))}
-    return {nid: index[key] for nid, key in keys.items()}, len(index)
+# The kind and phase bits of the "out" node that ends an open leg of a region.
+_LEG = ("out", (0.0).hex(), (0.0).hex())
 
 
-def _canonical_order(d: ZXDiagram) -> list[int]:
+def _form(x: ZXDiagram, region, context: list[int], wire: list) -> tuple:
+    """The exact form of a region of x, with every node id replaced by its
+    rank: (kinds, edges, inputs, outputs). Kinds lists the region's nodes in
+    id order as (kind, phase bits), then an "out" leg per context node, in
+    context order; edges are sorted rank pairs, and the outputs are the legs,
+    then the region's own outputs. The whole diagram is _form(x, x.nodes,
+    [], []). Forms that are equal contract to the same bits: the contraction
+    sees ranks alone."""
+    ids = sorted([n for n in region if n in x.nodes])
+    rank = {n: r for r, n in enumerate(ids)}
+    for r, c in enumerate(context, len(ids)):
+        rank[c] = r
+    adj, nodes, kinds = x._adj, x.nodes, []
+    edges = [(rank[n], rank[m]) for n in ids for m in adj[n] if n < m or m not in region]
+    edges += [(rank[a], rank[b]) for a, b in wire]
+    edges.sort()
+    for n in ids:
+        node = nodes[n]
+        phase = complex(node.phase)
+        kinds.append((node.kind, phase.real.hex(), phase.imag.hex()))
+    kinds += [_LEG] * len(context)
+    return (tuple(kinds), tuple(edges), tuple([rank[n] for n in x.inputs if n in region]),
+            (*range(len(ids), len(kinds)), *[rank[n] for n in x.outputs if n in region]))
+
+
+@lru_cache(maxsize=64)
+def _seed_label(kind: str, re_bits: str, im_bits: str) -> str:
+    return f"{kind}:{float.fromhex(re_bits):.9e}:{float.fromhex(im_bits):.9e}"
+
+
+def _canonical_order(form: tuple) -> list[int]:
     # Refined labels make the order a function of the graph alone (not of
     # node ids), so relabeled diagrams contract identically bit for bit.
     # Colour refinement: each round ranks (own label, sorted neighbour
     # labels) until the number of classes stops growing, which it cannot
     # once every node is a class of its own. Ranks order nodes as the seed
     # strings do, so seeds that are already distinct serve as the labels.
-    labels = {nid: f"in{i}" for i, nid in enumerate(d.inputs)}
-    labels.update({nid: f"out{i}" for i, nid in enumerate(d.outputs)})
-    for nid, node in d.nodes.items():
-        if nid not in labels:
-            phase = node.phase
-            labels[nid] = f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}"
-    classes = len(set(labels.values()))
+    kinds, edges, inputs, outputs = form
+    adj: list[list[int]] = [[] for _ in kinds]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    boundary = {r: f"in{i}" for i, r in enumerate(inputs)}
+    boundary.update({r: f"out{i}" for i, r in enumerate(outputs)})
+    labels = [boundary.get(r) or _seed_label(*bits) for r, bits in enumerate(kinds)]
+    classes = len(set(labels))
     while classes < len(labels):
-        labels, grown = _rank({nid: (label, tuple(sorted(map(labels.__getitem__, d._adj[nid]))))
-                               for nid, label in labels.items()})
-        if grown == classes:
+        keys = [(label, tuple(sorted([labels[m] for m in adj[r]])))
+                for r, label in enumerate(labels)]
+        index = {key: i for i, key in enumerate(sorted(set(keys)))}
+        labels = [index[key] for key in keys]
+        if len(index) == classes:
             break
-        classes = grown
+        classes = len(index)
 
     # Breadth-first from the ordered boundaries keeps contraction local, so
     # the number of simultaneously open tensor axes stays near the diagram
     # width instead of its edge count. order[head:] is the queue.
-    key = lambda x: (labels[x], x)  # by label, ties by id
-    order = [*d.inputs, *d.outputs]
+    key = lambda x: (labels[x], x)  # by label, ties by rank
+    order = [*inputs, *outputs]
     seen = set(order)
     head = 0
     while True:
         while head < len(order):
-            neighbours = d._adj[order[head]]
+            neighbours = adj[order[head]]
             for m in sorted(neighbours, key=key) if len(neighbours) > 1 else neighbours:
                 if m not in seen:
                     seen.add(m)
                     order.append(m)
             head += 1
-        if len(order) == len(d.nodes):
+        if len(order) == len(kinds):
             return order
-        start = min((n for n in d.nodes if n not in seen), key=key)
+        start = min((r for r in range(len(kinds)) if r not in seen), key=key)
         seen.add(start)
         order.append(start)
 
@@ -347,7 +381,7 @@ _CACHED_LEGS = 8
 
 @lru_cache(maxsize=64)
 def _cached_tensor(kind: str, re_bits: str, im_bits: str, legs: int) -> np.ndarray:
-    """A read-only node tensor shared by every evaluate call in the process.
+    """A read-only node tensor shared by every contraction in the process.
 
     Only tensors of at most _CACHED_LEGS = 8 legs (4 KiB each) come here,
     and only the 64 most recently used are kept: 256 KiB at most. A wider
@@ -359,13 +393,6 @@ def _cached_tensor(kind: str, re_bits: str, im_bits: str, legs: int) -> np.ndarr
     return t
 
 
-def _tensor(node: ZXNode, legs: int) -> np.ndarray:
-    phase = complex(node.phase)
-    if legs > _CACHED_LEGS:
-        return _node_tensor(node.kind, phase, legs)
-    return _cached_tensor(node.kind, phase.real.hex(), phase.imag.hex(), legs)
-
-
 def _check_budget(n: int, what: str) -> None:
     if n > MAX_EVAL_AXES:
         raise ValueError(f"diagram too large for brute force ({n} {what}; limit {MAX_EVAL_AXES})")
@@ -373,28 +400,35 @@ def _check_budget(n: int, what: str) -> None:
 
 def evaluate(d: ZXDiagram) -> np.ndarray:
     """Contract the diagram to a 2^|outputs| x 2^|inputs| matrix."""
-    n_in, n_open = len(d.inputs), len(d.inputs) + len(d.outputs)
-    _check_budget(n_open, "open legs")
-    order = _canonical_order(d)
-    rank = dict(zip(order, range(len(order))))
-    # Global labels: edge k of the rank-sorted edge list is label k.
-    ends = sorted([(i, j) if (i := rank[a]) < (j := rank[b]) else (j, i) for a, b in d.edges])
-    legs: list[list[int]] = [[] for _ in order]
-    for label, (r, s) in enumerate(ends):
-        legs[r].append(label)
-        legs[s].append(label)
+    return _contract(_form(d, d.nodes, [], []))
 
-    # Spiders and H boxes are folded in canonical order. The boundary of rank
-    # r (inputs, then outputs) names its edge's axis; of a wire between two
-    # boundaries, the later one takes label len(ends) + r, joined to the
-    # wire's label by an identity factor folded last.
-    factors = [(d.nodes[order[r]], legs[r]) for r in range(n_open, len(order))]
+
+def _contract(form: tuple) -> np.ndarray:
+    """Contract a form (see _form) to a 2^|outputs| x 2^|inputs| matrix."""
+    kinds, edges, inputs, outputs = form
+    n_in, n_open = len(inputs), len(inputs) + len(outputs)
+    _check_budget(n_open, "open legs")
+    order = _canonical_order(form)
+    position = dict(zip(order, range(len(order))))
+    # Global labels: edge k of the position-sorted edge list is label k.
+    ends = sorted([(i, j) if (i := position[a]) < (j := position[b]) else (j, i)
+                   for a, b in edges])
+    legs: list[list[int]] = [[] for _ in order]
+    for label, (p, q) in enumerate(ends):
+        legs[p].append(label)
+        legs[q].append(label)
+
+    # Spiders and H boxes are folded in canonical order. The boundary at
+    # position p (inputs, then outputs) names its edge's axis; of a wire
+    # between two boundaries, the later one takes label len(ends) + p,
+    # joined to the wire's label by an identity factor folded last.
+    factors = [(kinds[order[p]], legs[p]) for p in range(n_open, len(order))]
     boundary_labels = []
-    for r in range(n_open):
-        label = legs[r][0]
-        if r == ends[label][1]:
-            factors.append((None, [label, len(ends) + r]))
-            label = len(ends) + r
+    for p in range(n_open):
+        label = legs[p][0]
+        if p == ends[label][1]:
+            factors.append((None, [label, len(ends) + p]))
+            label = len(ends) + p
         boundary_labels.append(label)
 
     # Plan the fold on labels alone, so the budget refuses before any array
@@ -402,23 +436,30 @@ def evaluate(d: ZXDiagram) -> np.ndarray:
     # global order; it sums in label order, so its result is bit for bit as
     # with global labels.
     plan, live = [], []
-    for node, t_labels in factors:
+    for bits, t_labels in factors:
         _check_budget(len(t_labels), "legs on one node")
         shared = set(live).intersection(t_labels)
         kept = [label for label in live + t_labels if label not in shared]
         _check_budget(len(kept), "live axes in one fold step")
         ids = dict(zip(sorted([*kept, *shared]), itertools.count())).__getitem__
-        plan.append((node, [*map(ids, live)], [*map(ids, t_labels)], [*map(ids, kept)]))
+        plan.append((bits, [*map(ids, live)], [*map(ids, t_labels)], [*map(ids, kept)]))
         live = kept
 
     current = np.array(1.0 + 0j)
-    for node, current_ids, t_ids, kept_ids in plan:
-        t = np.eye(2) if node is None else _tensor(node, len(t_ids))
+    for bits, current_ids, t_ids, kept_ids in plan:
+        if bits is None:
+            t = np.eye(2)
+        elif len(t_ids) <= _CACHED_LEGS:
+            t = _cached_tensor(*bits, len(t_ids))
+        else:
+            kind, re_bits, im_bits = bits
+            t = _node_tensor(kind, complex(float.fromhex(re_bits), float.fromhex(im_bits)),
+                             len(t_ids))
         current = np.einsum(current, current_ids, t, t_ids, kept_ids)
 
-    out_labels = [boundary_labels[r] for r in [*range(n_in, n_open), *range(n_in)]]
+    out_labels = [boundary_labels[p] for p in [*range(n_in, n_open), *range(n_in)]]
     current = current.transpose([live.index(label) for label in out_labels])
-    return current.reshape(2 ** len(d.outputs), 2 ** n_in)
+    return current.reshape(2 ** len(outputs), 2 ** n_in)
 
 
 # ---------------------------------------------------------------------------
@@ -689,79 +730,27 @@ def _region(d: ZXDiagram, new: ZXDiagram) -> tuple[set[int], list[int], list[lis
                    if legs[0][c] != legs[1][c] or legs[0][c] > 1}
 
 
-def _side_key(x: ZXDiagram, region: set[int], context: list[int], wire: list) -> tuple:
-    """An exact key of the cut of x that _cut builds: its region nodes in id
-    order by kind and phase bits, its number of open legs, and its edges,
-    inputs and region outputs by id rank (the open legs rank after the
-    region nodes, in context order). Equal keys mean two cuts differ only
-    by an order-preserving relabelling, which evaluate cannot see
-    (_canonical_order breaks ties by id alone): they contract to the same
-    bits."""
-    ids = sorted([n for n in region if n in x.nodes])
-    rank = {n: r for r, n in enumerate(ids)}
-    for r, c in enumerate(context, len(ids)):
-        rank[c] = r
-    adj, nodes, kinds = x._adj, x.nodes, []
-    edges = [(rank[n], rank[m]) for n in ids for m in adj[n] if n < m or m not in region]
-    edges += [(rank[a], rank[b]) for a, b in wire]
-    edges.sort()
-    for n in ids:
-        node = nodes[n]
-        phase = complex(node.phase)
-        kinds.append((node.kind, phase.real.hex(), phase.imag.hex()))
-    return (tuple(kinds), len(context), tuple(edges),
-            tuple([rank[n] for n in x.inputs if n in region]),
-            tuple([rank[n] for n in x.outputs if n in region]))
-
-
-_LEG_END = ZXNode("out")
-
-
-def _cut(x: ZXDiagram, region: set[int], out: dict[int, int], wire: list) -> ZXDiagram:
-    """One side of the region as a diagram: the open leg at context node c
-    is the output node out[c], and the region's own boundaries follow."""
-    nodes = {n: x.nodes[n] for n in region if n in x.nodes}
-    edges = [(n, out.get(m, m)) for n in nodes for m in x._adj[n] if n < m or m not in region]
-    edges += [(out[a], out[b]) for a, b in wire]
-    nodes.update(dict.fromkeys(out.values(), _LEG_END))
-    return ZXDiagram(nodes, tuple(edges), tuple([n for n in x.inputs if n in region]),
-                     (*out.values(), *[n for n in x.outputs if n in region]))
-
-
-def _leg_ids(d: ZXDiagram, new: ZXDiagram, context: list[int]) -> dict[int, int]:
-    first = max(max(d.nodes, default=-1), max(new.nodes, default=-1)) + 1
-    return dict(zip(context, itertools.count(first)))
-
-
-def _local_sides(d: ZXDiagram, new: ZXDiagram) -> tuple[ZXDiagram, ZXDiagram]:
-    """The region a rewrite changed (see _region), cut out of each side."""
-    region, context, wires = _region(d, new)
-    out = _leg_ids(d, new, context)
-    return _cut(d, region, out, wires[0]), _cut(new, region, out, wires[1])
-
-
 def _local_scalar(d: ZXDiagram, new: ZXDiagram) -> complex | None:
     """proportionality(new, d), measured on the region that differs, or read
     from d's lineage table when that region pair was verified before. A
-    side's matrix, too, is looked up before its cut is contracted."""
+    side's matrix, too, is looked up before its form is contracted."""
     region, context, wires = _region(d, new)
-    keys = (_side_key(d, region, context, wires[0]), _side_key(new, region, context, wires[1]))
+    forms = (_form(d, region, context, wires[0]), _form(new, region, context, wires[1]))
     table = d._verified
     try:
-        return table[keys]
+        return table[forms]
     except KeyError:
         pass
-    out, matrices = _leg_ids(d, new, context), []
-    for key, x, wire in zip(keys, (d, new), wires):
-        matrix = table.get(key)
+    matrices = []
+    for form in forms:
+        matrix = table.get(form)
         if matrix is None:
-            cut = _cut(x, region, out, wire)
-            matrix = evaluate(cut)
-            if len(cut.inputs) + len(cut.outputs) <= _CACHED_LEGS:
+            matrix = _contract(form)
+            if len(form[2]) + len(form[3]) <= _CACHED_LEGS:
                 matrix.flags.writeable = False
-                table[key] = matrix
+                table[form] = matrix
         matrices.append(matrix)
-    table[keys] = scalar = proportionality(matrices[1], matrices[0])
+    table[forms] = scalar = proportionality(matrices[1], matrices[0])
     return scalar
 
 
@@ -769,8 +758,8 @@ def apply_rule_checked(d: ZXDiagram, rule: str, location) -> tuple[ZXDiagram, Re
     """Apply a rule and record the proportionality scalar, measured by
     contracting the region it changed on both sides: rules are local
     equations, so L = s*R on the region scales the whole diagram by s.
-    evaluate's ValueError passes through when a region is over the
-    contraction budget, so every recorded scalar is measured."""
+    The contraction's ValueError passes through when a region is over
+    the budget, so every recorded scalar is measured."""
     new = apply_rule(d, rule, location)
     scalar = _local_scalar(d, new)
     if scalar is None or scalar == 0:

@@ -227,8 +227,16 @@ def test_atomic_write_failure_leaves_the_target_as_it_was(tmp_path, failing_rena
     assert [p.read_text() for p in tmp_path.iterdir()] == (["old"] if existed else [])
 
 
-@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
-def test_atomic_write_mode_follows_umask(tmp_path, umask):
+# A new file gets 0666 under the umask; an existing one keeps its mode.
+@pytest.mark.parametrize("umask, existing", [
+    *(pytest.param(umask, None, id=oct(umask)) for umask in (0o022, 0o002, 0o077)),
+    *(pytest.param(umask, mode, id=f"{oct(umask)}-over-{oct(mode)}")
+      for umask in (0o022, 0o077) for mode in (0o600, 0o640))])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, existing):
+    if existing is not None:
+        for name in ("out.json", "plain.json"):
+            (tmp_path / name).write_text("old\n")
+            (tmp_path / name).chmod(existing)
     old = os.umask(umask)
     try:
         write_text_atomic(tmp_path / "out.json", "payload\n")

@@ -28,6 +28,8 @@ from nohidelab.zx import (
     steps_to_json_list,
 )
 
+from oracles import counter_local_sides
+
 TRANSLATABLE = ["h", "x", "y", "z", "s", "t", "cx"]
 
 
@@ -74,16 +76,21 @@ def spider_map(num_in: int, num_out: int, kind: str, phase: complex = 0j) -> ZXD
     return ZXDiagram(nodes, tuple(edges), tuple(inputs), tuple(outputs))
 
 
+def whole_form(d: ZXDiagram) -> tuple:
+    return zx._form(d, d.nodes, [], [])
+
+
 def count_contractions(monkeypatch) -> list:
-    """Record every contraction evaluate starts, by wrapping _canonical_order."""
+    """Record the form of every contraction, of a whole diagram or of a
+    region side, by wrapping _contract."""
     started = []
-    canonical_order = zx._canonical_order
+    contract = zx._contract
 
-    def counted(d):
-        started.append(d)
-        return canonical_order(d)
+    def counted(form):
+        started.append(form)
+        return contract(form)
 
-    monkeypatch.setattr(zx, "_canonical_order", counted)
+    monkeypatch.setattr(zx, "_contract", counted)
     return started
 
 
@@ -169,15 +176,15 @@ class TestEvaluate:
         for _ in range(2):
             evaluate(circuit_to_zx(Circuit(1, (Gate("t", (0,)),))))
         assert built == [("Z", complex(math.pi / 4), 2)]
-        t = zx._tensor(ZXNode("Z", math.pi / 4), 2)
+        t = zx._cached_tensor("Z", (math.pi / 4).hex(), (0.0).hex(), 2)
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 0.0
         # the cache is bounded, and a wide tensor is built for each call
         assert zx._cached_tensor.cache_info().maxsize == 64
-        wide = zx._tensor(ZXNode("Z"), zx._CACHED_LEGS + 1)
-        assert zx._tensor(ZXNode("Z"), zx._CACHED_LEGS + 1) is not wide
-        assert len(built) == 3
+        for _ in range(2):
+            evaluate(spider_map(0, zx._CACHED_LEGS + 1, "Z"))
+        assert built[1:] == [("Z", 0j, zx._CACHED_LEGS + 1)] * 2
 
     def test_too_many_open_legs_rejected_before_contracting(self, monkeypatch):
         # 13 bare wires: 26 open legs, so the 2^13 x 2^13 result would take
@@ -195,7 +202,7 @@ class TestEvaluate:
         started = count_contractions(monkeypatch)
         new = apply_rule(d, "HH", match_rule(d, "HH")[0])
         after = evaluate(new)
-        assert started == [new]
+        assert started == [whole_form(new)]
         assert np.abs(after - np.eye(2)).max() < 1e-12
         assert np.abs(before - np.eye(2)).max() < 1e-12
 
@@ -363,7 +370,8 @@ class TestApplyRule:
         def tensor_built(*_):
             raise AssertionError("tensor built")
 
-        monkeypatch.setattr(zx, "_tensor", tensor_built)
+        monkeypatch.setattr(zx, "_cached_tensor", tensor_built)
+        monkeypatch.setattr(zx, "_node_tensor", tensor_built)
         with pytest.raises(ValueError, match=r"too large for brute force \(26 open legs;"):
             apply_rule_checked(d, "S1", (0, 1))
 
@@ -542,15 +550,6 @@ def final_diagram_isomorphic(d: ZXDiagram) -> bool:
     return False
 
 
-def relabelled(d: ZXDiagram) -> tuple:
-    """d with its node ids replaced by their ranks, as a hashable value."""
-    ids = sorted(d.nodes)
-    rank = {n: r for r, n in enumerate(ids)}
-    return (tuple((d.nodes[n].kind, repr(complex(d.nodes[n].phase))) for n in ids),
-            tuple((rank[a], rank[b]) for a, b in d.edges),
-            tuple(map(rank.__getitem__, d.inputs)), tuple(map(rank.__getitem__, d.outputs)))
-
-
 class TestLineageTable:
     """Rewrites of one lineage share verified region contractions."""
 
@@ -587,7 +586,7 @@ class TestLineageTable:
         scalars = []
         for nid in (2, 3):
             new, step = apply_rule_checked(d, "S2", (nid,))
-            before, after = zx._local_sides(d, new)
+            before, after = counter_local_sides(d, new)
             fresh = proportionality(evaluate(after), evaluate(before))
             assert (step.scalar_check.real.hex(), step.scalar_check.imag.hex()) == (
                 fresh.real.hex(), fresh.imag.hex())
@@ -650,13 +649,14 @@ class TestScriptedDerivation:
         # Two whole diagrams in the derivation (initial against the target,
         # final against initial); every other contraction is one side of the
         # region a step changed. The 14 steps and the 9 of simplify, which
-        # continues the derivation's lineage from its initial diagram, cut
-        # 46 region sides, only 17 of them distinct: each is contracted once
+        # continues the derivation's lineage from its initial diagram,
+        # compare 46 region sides, only 17 of them distinct: each is contracted once
         # in the lineage, and each of the 12 distinct region pairs is
-        # compared once.
+        # compared once. No cut is built: the 26 diagrams validated are the
+        # 3 that build the derivation diagram and the 23 rewrites.
         started = count_contractions(monkeypatch)
-        compared, rewrites = [], []
-        local_scalar = zx._local_scalar
+        compared, rewrites, validated = [], [], []
+        local_scalar, post_init = zx._local_scalar, ZXDiagram.__post_init__
 
         def recorded(d, new):
             rewrites.append((d, new))
@@ -665,16 +665,20 @@ class TestScriptedDerivation:
         monkeypatch.setattr(zx, "_local_scalar", recorded)
         monkeypatch.setattr(zx, "proportionality",
                             lambda a, b: compared.append(a) or proportionality(a, b))
+        monkeypatch.setattr(ZXDiagram, "__post_init__",
+                            lambda d: validated.append(d) or post_init(d))
         result = run_scripted_derivation()
         simplify(result.initial)
         assert (len(started), len(compared), len(rewrites)) == (19, 14, 23)
-        whole = [d for d in started if d is result.initial or d is result.final]
-        local = [d for d in started if d is not result.initial and d is not result.final]
+        assert len(validated) == 26
+        wholes = (whole_form(result.initial), whole_form(result.final))
+        whole = [form for form in started if form in wholes]
+        local = [form for form in started if form not in wholes]
         assert len(whole) == 2
-        cuts = [cut for d, new in rewrites for cut in zx._local_sides(d, new)]
-        assert all(any(d == cut for cut in cuts) for d in local)
-        assert len({relabelled(cut) for cut in cuts}) == len({relabelled(d) for d in local}) == 17
-        assert max(len(d.inputs) + len(d.outputs) for d in local) == 4
+        cuts = {whole_form(cut) for d, new in rewrites for cut in counter_local_sides(d, new)}
+        assert set(local) <= cuts
+        assert len(cuts) == len(set(local)) == 17
+        assert max(len(inputs) + len(outputs) for _, _, inputs, outputs in local) == 4
 
     def test_steps_helper_returns_flat_list(self):
         steps = run_scripted_derivation().steps

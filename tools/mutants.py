@@ -131,8 +131,8 @@ MUTANTS = (
            "key = lambda x: (labels[x], x)", "key = lambda x: x",
            (ORACLES + "test_canonical_order_matches_string_oracle",)),
     Mutant("id-based start for a disconnected component", ZX,
-           "start = min((n for n in d.nodes if n not in seen), key=key)",
-           "start = min(n for n in d.nodes if n not in seen)",
+           "start = min((r for r in range(len(kinds)) if r not in seen), key=key)",
+           "start = min(r for r in range(len(kinds)) if r not in seen)",
            (ORACLES + "test_components_no_boundary_reaches_start_at_the_least_label",)),
     Mutant("legless spider halved", ZX,
            "return np.asarray(b + cmath.exp(1j * phase) * c)",
@@ -153,10 +153,15 @@ MUTANTS = (
            "scalar = proportionality(matrices[1], matrices[0])",
            "scalar = (s := proportionality(matrices[1], matrices[0])) and s * (1 + 1e-11)",
            REPLAY),
-    Mutant("table keyed on the 9-digit seed label", ZX,
+    Mutant("form records the phase rounded to 9 digits", ZX,
            "kinds.append((node.kind, phase.real.hex(), phase.imag.hex()))",
-           'kinds.append(f"{node.kind}:{phase.real:.9e}:{phase.imag:.9e}")',
+           'kinds.append((node.kind, float(f"{phase.real:.9e}").hex(),'
+           ' float(f"{phase.imag:.9e}").hex()))',
            (LINEAGE + "test_phases_equal_to_nine_digits_are_separate_entries",)),
+    Mutant("side form lists the region outputs before the legs", ZX,
+           "(*range(len(ids), len(kinds)), *[rank[n] for n in x.outputs if n in region]))",
+           "(*[rank[n] for n in x.outputs if n in region], *range(len(ids), len(kinds))))",
+           (ORACLES + "test_local_sides_match_counter_oracle",)),
     Mutant("one table for every diagram", ZX,
            "_adj=adj, _verified={})", '_adj=adj, _verified=globals().setdefault("_one_table", {}))',
            (LINEAGE + "test_separately_built_copies_share_no_table",)),
@@ -175,6 +180,10 @@ MUTANTS = (
     Mutant("keys quoted without str()", JSONIO,
            "encode_basestring_ascii(str(key))", "encode_basestring_ascii(key)",
            (TEST_JSONIO + "TestJsonText::test_subclasses_render_as_their_base_types",)),
+    Mutant("existing target's mode ignored", JSONIO,
+           "    try:\n        mode = stat.S_IMODE(os.stat(path).st_mode)",
+           "    try:\n        raise FileNotFoundError",
+           (TEST_JSONIO + "test_atomic_write_mode_follows_umask",)),
     Mutant("temp file left behind when a write fails", JSONIO,
            "            os.unlink(tmp)\n", "            pass\n",
            ("tests/test_cli.py::test_failed_temp_write_exits_1_without_output",)),
