@@ -108,11 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_path(out: Path) -> None:
-    """Reject an --out path the atomic write would fail on, before any work."""
+    """Reject an --out path the atomic write would fail on, before any work.
+    The write lands in the directory of the path's resolved target."""
     if out.is_dir():
         raise ConfigError(f"--out {str(out)!r} is a directory")
-    if not out.parent.is_dir():
-        raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
+    if not (parent := out.resolve().parent).is_dir():
+        raise ConfigError(f"output directory {str(parent)!r} does not exist")
 
 
 def _emit(text: str, out: Path | None) -> None:

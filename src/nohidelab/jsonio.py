@@ -11,7 +11,6 @@ import json
 import math
 import os
 import stat
-import tempfile
 from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -115,26 +114,25 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place.
+    """Write via a temp file in the target's directory, then rename into place.
 
-    The file gets the mode a plain open(path, "w") would give it, not the
-    0600 of mkstemp: an existing file keeps its mode, and a new one gets
-    0666 under the current umask.
+    The file gets what a plain open(path, "w") would give it: a symlink is
+    written through to its target, an existing file keeps its mode, and a new
+    one is created at 0666 under the umask, which the kernel applies.
     """
-    path = Path(path)
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0o022)  # the umask can only be read by setting it
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    # At most 60 characters of the name (240 bytes in UTF-8), 8 random ones
+    path = Path(path).resolve()
+    # At most 56 characters of the name (224 bytes in UTF-8), 16 hex digits
     # and ".tmp": the temp name fits NAME_MAX (255 bytes) for any target.
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name[:60], suffix=".tmp")
+    # O_EXCL never reuses a name, nor follows a link at it.
+    tmp = path.with_name(f"{path.name[:56]}{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            try:
+                os.fchmod(handle.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             handle.write(text)
-            os.fchmod(handle.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -247,7 +247,12 @@ def kernel_chains(draw):
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, min(3, n)))
         steps.append([len(batch) + q for q in draw(st.permutations(range(n)))[:k]])
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _kernel_chain(n, batch, steps, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _kernel_chain(n: int, batch: tuple[int, ...], steps: list[list[int]], seed: int):
+    """The tensor and (operator, axes) steps of kernel_chains, random from one seed."""
+    rng = np.random.default_rng(seed)
     shape = batch + (2,) * n
     tensor = _signed_zeros(rng, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     ops = []
@@ -260,6 +265,11 @@ def kernel_chains(draw):
 
 @settings(max_examples=200)
 @given(kernel_chains())
+# A one-qubit operator on the last axis, a two-qubit one on both axes, and a
+# one-qubit one on the last of three axes, whose transpose is not its inverse.
+@example(_kernel_chain(2, (), [[1]], 0))
+@example(_kernel_chain(2, (), [[0, 1]], 0))
+@example(_kernel_chain(3, (), [[2]], 0))
 def test_apply_op_is_bitwise_tensordot(case):
     # Later steps take the earlier steps' transposed outputs, as in a circuit.
     got = want = case[0]

@@ -369,6 +369,16 @@ def test_failed_temp_write_exits_1_without_output(tmp_path, capsys, failing_writ
     assert os.strerror(errno.ENOSPC) in err
 
 
+# The write lands at a link's target, so that target's directory is checked.
+def test_out_through_a_symlink_into_a_missing_directory_exits_2(tmp_path, capsys):
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(["zx", "--out", str(link)], capsys)
+    assert (code, out) == (2, "")
+    assert "missing' does not exist" in err
+    assert link.is_symlink() and list(tmp_path.iterdir()) == [link]
+
+
 class TestArgHandling:
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(["perfect", "--bogus"], capsys)[0] == 2

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -86,6 +86,7 @@ class TestJsonText:
         | st.dictionaries(JSON_TEXT, inner, max_size=4),
         max_leaves=20,
     ))
+    @example({"caf\u00e9": "\u00e9\u2028\U0001f600"})  # non-ASCII text, as \u escapes
     def test_layout_matches_json_dumps_indent_2(self, value):
         assert json_text(value) == json.dumps(value, indent=2) + "\n"
 
@@ -160,6 +161,7 @@ class TestArrayLeaf:
         elements=st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0 ** 53, 1e17, 0.5, -1e-300]),
         fill=st.sampled_from([0.0, -0.0]),
     ))
+    @example(np.array([[0.1, -0.0]]))  # .16g and .17g texts differ on 0.1
     def test_matches_list_path(self, arr):
         assert json_text({"a": arr}) == json_text({"a": arr.tolist()})
         assert json_text(arr) == json_text(arr.tolist())
@@ -246,3 +248,46 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask, existing):
         os.umask(old)
     mode = stat.S_IMODE((tmp_path / "out.json").stat().st_mode)
     assert mode == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)
+
+
+# A symlinked target is written through, as open() would write it: the link
+# stays a link, and the file it names gets the bytes and keeps its mode. The
+# temp file is made beside that file, so none is left beside the link.
+def test_atomic_write_through_a_symlink_keeps_the_link(tmp_path):
+    (tmp_path / "links").mkdir()
+    (tmp_path / "data").mkdir()
+    real, link = tmp_path / "data" / "real.json", tmp_path / "links" / "link.json"
+    real.write_text("old\n")
+    real.chmod(0o600)
+    link.symlink_to("../data/real.json")
+    write_text_atomic(link, "payload\n")
+    assert link.is_symlink() and os.readlink(link) == "../data/real.json"
+    assert real.read_text() == "payload\n"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.json", "links",
+                                                           "real.json"]
+
+
+# A dangling link gets its target created, at 0666 under the umask.
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_atomic_write_through_a_dangling_symlink_creates_its_target(tmp_path, umask):
+    link = tmp_path / "link.json"
+    link.symlink_to("real.json")
+    old = os.umask(umask)
+    try:
+        write_text_atomic(link, "payload\n")
+    finally:
+        os.umask(old)
+    assert link.is_symlink()
+    assert (tmp_path / "real.json").read_text() == "payload\n"
+    assert stat.S_IMODE((tmp_path / "real.json").stat().st_mode) == 0o666 & ~umask
+
+
+# The umask is process-wide, so the write leaves it to the kernel and never
+# sets it, not even to read it.
+def test_atomic_write_to_a_new_file_never_calls_umask(tmp_path, monkeypatch):
+    def fail(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", fail)
+    write_text_atomic(tmp_path / "out.json", "payload\n")
+    assert (tmp_path / "out.json").read_text() == "payload\n"

@@ -141,18 +141,24 @@ def test_eigh_sorts_descending_and_reconstructs_its_input(m):
     assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-12
 
 
-@st.composite
-def density_pairs(draw):
-    # Low ranks exercise the SQRT_FLOOR clamp on near-zero eigenvalues.
-    n = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _density_pair(n: int, seed: int, ranks: tuple[int, int]):
+    """Two n-qubit densities of the given ranks, drawn from one seed."""
+    rng = np.random.default_rng(seed)
 
     def density(rank):
         f = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
         rho = f @ f.conj().T
         return DensityMatrix(n, rho / np.trace(rho))
 
-    return density(draw(st.integers(1, 2 ** n))), density(draw(st.integers(1, 2 ** n)))
+    return tuple(density(rank) for rank in ranks)
+
+
+@st.composite
+def density_pairs(draw):
+    # Low ranks exercise the SQRT_FLOOR clamp on near-zero eigenvalues.
+    n = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return _density_pair(n, seed, (draw(st.integers(1, 2 ** n)), draw(st.integers(1, 2 ** n))))
 
 
 def _psd_root(rho: DensityMatrix) -> np.ndarray:
@@ -162,6 +168,8 @@ def _psd_root(rho: DensityMatrix) -> np.ndarray:
 
 @PROPERTY
 @given(density_pairs())
+# Pure qubit states with complex coherences: the root is not symmetric.
+@example(_density_pair(1, 0, (1, 1)))
 def test_fidelity_is_the_nuclear_norm_of_the_root_product(pair):
     # F(a, b) = ||sqrt(a) sqrt(b)||_1, the sum of the product's singular values.
     a, b = pair
@@ -218,6 +226,8 @@ def test_fidelity_to_pure_matches_uhlmann_fidelity(rho, seed):
 
 @PROPERTY
 @given(embedded_operators())
+# A two-qubit operator that its targets' swap changes.
+@example((2, (0, 1), np.linalg.qr(np.full((4, 4), 0.75j))[0]))
 def test_gate_matrix_matches_oracle_embed(case):
     # U = sum_P c_P P over the k-qubit Pauli strings, c_P = tr(P^dagger U) / 2^k;
     # each string embeds as an np.kron product with I on the other qubits.
@@ -648,15 +658,21 @@ def hermitian_unit_trace_stacks(draw):
     """(num_qubits, (P, d, d) stack) with d in {2, 4}, P in 1..8: each matrix
     V diag(w) V^dagger for a random unitary V and a spectrum of `spectra`."""
     n = draw(st.sampled_from([1, 2]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return n, _unit_trace_stack(n, seed, [draw(spectra(2 ** n))
+                                          for _ in range(draw(st.integers(1, 8)))])
+
+
+def _unit_trace_stack(n: int, seed: int, eigenvalues: list[list[float]]) -> np.ndarray:
+    """V diag(w) V^dagger for each spectrum w, each V a random unitary from one seed."""
+    rng = np.random.default_rng(seed)
     stack = []
-    for _ in range(draw(st.integers(1, 8))):
-        w = np.array(draw(spectra(2 ** n)))
+    for w in eigenvalues:
         u, _ = np.linalg.qr(rng.normal(size=(2 ** n, 2 ** n))
                             + 1j * rng.normal(size=(2 ** n, 2 ** n)))
         m = u @ np.diag(w) @ u.conj().T
         stack.append((m + m.conj().T) / 2)
-    return n, np.array(stack)
+    return np.array(stack)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -676,6 +692,8 @@ def _simplex_projection(w: np.ndarray) -> np.ndarray:
 
 @PROPERTY
 @given(hermitian_unit_trace_stacks())
+# A raw tomogram with eigenvalue -0.5: the projection shifts the kept one.
+@example((1, _unit_trace_stack(1, 0, [[-0.5, 1.5]])))
 def test_linear_inversion_and_simplex_projection(case):
     n, stack = case
     raw = reconstruct(exact_expectations(stack), n)
@@ -706,13 +724,18 @@ def test_one_bad_raw_member_raises_the_single_matrix_error(case, data):
     assert str(stacked.value) == str(single.value)
 
 
+def _states(seed: int, pure: list[bool]) -> list:
+    """Random 3-qubit states from one seed: pure where `pure` is true, else mixed."""
+    rng = np.random.default_rng(seed)
+    return [random_state(rng, 3) if p else random_density(rng, 3) for p in pure]
+
+
 @st.composite
 def tomography_cases(draw):
     """(states, qubits, shots, seed): P in 1..4 random 3-qubit pure or mixed
     states and one or two of their qubits."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    states = [random_state(rng, 3) if draw(st.booleans()) else random_density(rng, 3)
-              for _ in range(draw(st.integers(1, 4)))]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    states = _states(seed, [draw(st.booleans()) for _ in range(draw(st.integers(1, 4)))])
     qubits = draw(st.permutations(range(3)))[:draw(st.integers(1, 2))]
     shots = draw(st.none() | st.integers(1, 5000))
     return states, qubits, shots, draw(st.integers(0, 2 ** 32 - 1))
@@ -738,6 +761,8 @@ def test_born_probabilities_are_the_rotated_diagonal(case):
 
 @PROPERTY
 @given(tomography_cases())
+# Two states, one shot each: their samples differ only by their seeds.
+@example((_states(0, [False, False]), [0], 1, 1))
 def test_stacked_tomography_matches_stacks_of_one_bitwise(case):
     states, qubits, shots, seed = case
     reduced = [partial_trace(s, qubits) for s in states]
@@ -784,6 +809,9 @@ def counts_by_basis(draw):
 
 @PROPERTY
 @given(counts_by_basis())
+# A shot total past 2^53, where float64 division rounds twice.
+@example((1, {"X": np.array([[0, 1]]), "Y": np.array([[0, 1]]),
+              "Z": np.array([[1, 6105293114793805311]])}))
 def test_array_estimator_is_the_exactly_rounded_fraction(case):
     # A Pauli is estimated from the basis with its I replaced by Z. Outcome j
     # has qubit 0 as its most significant bit, and the Pauli's sign on it is

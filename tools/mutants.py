@@ -10,9 +10,10 @@ runs `python -m pytest -q -x -p no:cacheprovider --hypothesis-profile mutants
 <tests>` with PYTHONPATH set to the copy's `src`, and restores the file.
 pytest exit code 1 is a kill, 0 a survival. It exits 1 on a survivor not
 marked as known, on a killed one that is marked (the mark is stale), and on
-any other pytest exit code. The `mutants` profile (tests/conftest.py) skips
-hypothesis's shrink phase: any falsifying example kills a mutant, and
-shrinking one took most of the time.
+any other pytest exit code. The `mutants` profile (tests/conftest.py) runs
+hypothesis's explicit phase only: each row must die on a fixed input, an
+`@example` or a plain test, not on a draw that moves when unrelated source
+text moves.
 """
 from __future__ import annotations
 
@@ -181,8 +182,13 @@ MUTANTS = (
            "encode_basestring_ascii(str(key))", "encode_basestring_ascii(key)",
            (TEST_JSONIO + "TestJsonText::test_subclasses_render_as_their_base_types",)),
     Mutant("existing target's mode ignored", JSONIO,
-           "    try:\n        mode = stat.S_IMODE(os.stat(path).st_mode)",
-           "    try:\n        raise FileNotFoundError",
+           "os.fchmod(handle.fileno(), stat.S_IMODE(os.stat(path).st_mode))", "pass",
+           (TEST_JSONIO + "test_atomic_write_mode_follows_umask",)),
+    Mutant("symlink replaced, not written through", JSONIO,
+           "path = Path(path).resolve()", "path = Path(path)",
+           (TEST_JSONIO + "test_atomic_write_through_a_symlink_keeps_the_link",)),
+    Mutant("temp file created at 0600", JSONIO,
+           "os.O_EXCL, 0o666)", "os.O_EXCL, 0o600)",
            (TEST_JSONIO + "test_atomic_write_mode_follows_umask",)),
     Mutant("temp file left behind when a write fails", JSONIO,
            "            os.unlink(tmp)\n", "            pass\n",
